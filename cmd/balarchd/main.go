@@ -49,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"balarch/internal/jobs"
 	"balarch/internal/server"
 )
 
@@ -91,8 +90,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		"admission budget in bytes for queued+running jobs' estimated footprints (-1 = unlimited)")
 	jobTTL := fs.Duration("job-ttl", 15*time.Minute,
 		"how long finished jobs stay queryable before garbage collection")
-	jobPolicy := fs.String("job-policy", "balanced",
-		"job scheduler pick policy: balanced (memory-aware, tenant-fair) or fifo (strict submission order)")
 	shutdownGrace := fs.Duration("shutdown-grace", 10*time.Second,
 		"drain budget for in-flight requests (and running jobs) on SIGINT/SIGTERM")
 	tenantsFile := fs.String("tenants-file", "",
@@ -145,11 +142,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	if workers == 0 {
 		workers = -1 // jobs.Options: 0 means default, negative means paused
 	}
-	if _, err := jobs.PolicyByName(*jobPolicy); err != nil {
-		// A flag typo is a usage error, caught before the daemon binds.
-		fmt.Fprintf(stderr, "balarchd: -job-policy: %v\n", err)
-		return 2
-	}
 	var tenants *server.TenantsConfig
 	if *tenantsFile != "" {
 		var err error
@@ -179,7 +171,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		JobWorkers:       workers,
 		MemBudgetBytes:   *memBudget,
 		JobTTL:           *jobTTL,
-		JobSchedPolicy:   *jobPolicy,
 		Tenants:          tenants,
 		NodeID:           *nodeID,
 	})

@@ -58,14 +58,12 @@ func (c *Cache[T]) Do(key string, fn func() (T, error)) (val T, err error, hit b
 	return e.val, e.err, !computed
 }
 
-// Lookup returns the stored value for key without computing anything: a
-// probe for callers that can build the key as bytes and want the hit path
-// allocation-free (the map index on string(key) does not copy the bytes).
+// Lookup returns the stored value for key without computing anything.
 // In-flight and failed entries miss — Lookup never blocks on another
 // caller's computation.
-func (c *Cache[T]) Lookup(key []byte) (T, bool) {
+func (c *Cache[T]) Lookup(key string) (T, bool) {
 	c.mu.Lock()
-	e := c.m[string(key)]
+	e := c.m[key]
 	c.mu.Unlock()
 	if e == nil || !e.done.Load() || e.err != nil {
 		var zero T

@@ -167,11 +167,6 @@ type Options struct {
 	// Unlisted tenants (including "" anonymous) weigh 1; values ≤ 0 are
 	// treated as 1.
 	TenantWeights map[string]int
-	// Policy is the pick policy. Nil means BalancedPolicy: memory-aware
-	// packing against the measured drain rate with weighted round-robin
-	// across tenants. FIFOPolicy restores the seed queue's strict global
-	// submission order.
-	Policy PickPolicy
 	// Notify, when non-nil, is called after every job state transition
 	// with a copy of the job. It runs under the queue's lock: it must be
 	// fast and must not call back into the Queue (the server's event bus
@@ -301,9 +296,6 @@ func Open(dir string, st *store.Store, exec Exec, opts Options) (*Queue, error) 
 	}
 	if opts.TTL == 0 {
 		opts.TTL = defaultTTL
-	}
-	if opts.Policy == nil {
-		opts.Policy = BalancedPolicy()
 	}
 	q := &Queue{
 		dir:         dir,
@@ -560,7 +552,7 @@ func (q *Queue) worker() {
 			}
 			var ok bool
 			t0 := time.Now()
-			if id, seq, ok = q.sched.pick(q.opts.Policy, q.poolStateLocked(), q.jobs); ok {
+			if id, seq, ok = q.sched.pick(q.poolStateLocked(), q.jobs); ok {
 				q.observeStage("sched_pick", time.Since(t0))
 				break
 			}
@@ -862,7 +854,7 @@ func (q *Queue) SchedCounters() SchedCounters {
 		served[tenant] = n
 	}
 	return SchedCounters{
-		Policy:         q.opts.Policy.Name(),
+		Policy:         "balanced",
 		Picks:          q.sched.picks,
 		Skips:          q.sched.skips,
 		MaxWaitPicks:   q.sched.maxWait,

@@ -5,17 +5,12 @@ package jobs
 // estimated at admission and to who submitted what — one tenant's deep
 // backlog monopolized every worker, and a burst of large jobs could hold
 // more live bytes than the pool retires in any useful horizon. This file
-// replaces that slice with per-tenant priority lanes under a pluggable
-// PickPolicy:
-//
-//   - balanced (the default): weighted round-robin across tenants, and a
-//     memory-fit check that packs workers only while the aggregate
-//     footprint of running jobs stays balanced against the pool's
-//     measured drain rate (the paper's provisioning argument, applied to
-//     our own worker pool: admit work against measured bandwidth, not
-//     nameplate worker count).
-//   - fifo: global submission order, always fits — byte-for-byte the old
-//     behavior, kept as an escape hatch (-job-policy fifo).
+// replaces that slice with per-tenant priority lanes under one balanced
+// policy: weighted round-robin across tenants, and a memory-fit check that
+// packs workers only while the aggregate footprint of running jobs stays
+// balanced against the pool's measured drain rate (the paper's
+// provisioning argument, applied to our own worker pool: admit work
+// against measured bandwidth, not nameplate worker count).
 //
 // Priority classes (low|normal|high) order picks within one tenant;
 // across tenants fairness wins, so one tenant cannot jump the ring by
@@ -66,7 +61,7 @@ func (p Priority) lane() int {
 const numLanes = 3
 
 // PoolState is the worker pool's balance picture at pick time, handed to
-// the policy's fit check.
+// the fit check.
 type PoolState struct {
 	// RunningJobs/RunningBytes are the in-flight count and summed
 	// footprint.
@@ -80,38 +75,17 @@ type PoolState struct {
 	MemBudgetBytes int64
 }
 
-// PickPolicy decides scheduling: whether tenants round-robin and whether
-// a candidate job's footprint fits the pool right now.
-type PickPolicy interface {
-	// Name labels the policy in /metrics.
-	Name() string
-	// TenantFair selects weighted round-robin across tenants; false
-	// means global submission order.
-	TenantFair() bool
-	// Fits reports whether starting a job of this cost keeps the pool
-	// balanced under st.
-	Fits(cost int64, st PoolState) bool
-}
-
-// drainHorizonSeconds is how much future drain the balanced policy packs
+// drainHorizonSeconds is how much future drain the fit check packs
 // against: running footprints may sum to what the pool retires in this
 // window (capped by the admission budget). Small enough that a burst of
 // large jobs queues instead of all running at once; large enough that a
 // healthy pool keeps every worker busy.
 const drainHorizonSeconds = 2.0
 
-// balancedPolicy packs workers against the measured drain rate and
-// round-robins tenants. The default.
-type balancedPolicy struct{}
-
-// BalancedPolicy returns the default pick policy: memory-aware packing
-// with weighted round-robin across tenants.
-func BalancedPolicy() PickPolicy { return balancedPolicy{} }
-
-func (balancedPolicy) Name() string     { return "balanced" }
-func (balancedPolicy) TenantFair() bool { return true }
-
-func (balancedPolicy) Fits(cost int64, st PoolState) bool {
+// fits reports whether starting a job of this cost keeps the pool
+// balanced under st: running footprints may sum to what the pool retires
+// in the drain horizon, capped by the admission budget.
+func fits(cost int64, st PoolState) bool {
 	if st.RunningJobs == 0 {
 		// Progress guarantee: an idle pool always starts the next job,
 		// however large, so no job can be starved by its own footprint.
@@ -129,33 +103,8 @@ func (balancedPolicy) Fits(cost int64, st PoolState) bool {
 	return float64(st.RunningBytes+cost) <= target
 }
 
-// fifoPolicy reproduces the seed queue: strict global submission order,
-// every job fits.
-type fifoPolicy struct{}
-
-// FIFOPolicy returns the pre-scheduler behavior: global submission
-// order, no fit check, no tenant fairness.
-func FIFOPolicy() PickPolicy { return fifoPolicy{} }
-
-func (fifoPolicy) Name() string               { return "fifo" }
-func (fifoPolicy) TenantFair() bool           { return false }
-func (fifoPolicy) Fits(int64, PoolState) bool { return true }
-
-// PolicyByName resolves a policy flag value: "" and "balanced" are the
-// default policy, "fifo" the escape hatch.
-func PolicyByName(name string) (PickPolicy, error) {
-	switch name {
-	case "", "balanced":
-		return BalancedPolicy(), nil
-	case "fifo":
-		return FIFOPolicy(), nil
-	}
-	return nil, fmt.Errorf("jobs: unknown scheduler policy %q (one of balanced, fifo)", name)
-}
-
 // schedEntry is one queued job's position: its id and the global
-// submission sequence number that defines FIFO order within a lane (and
-// globally, for the fifo policy).
+// submission sequence number that defines FIFO order within a lane.
 type schedEntry struct {
 	id  string
 	seq uint64
@@ -172,12 +121,11 @@ type tenantQueue struct {
 	waited int64
 }
 
-// head returns the tenant's next entry and its lane — the
-// highest-priority nonempty lane when fair, the globally oldest entry
-// across lanes when not — pruning entries whose job is gone or no longer
-// queued (canceled, GC'd, or already picked via a duplicate entry).
-func (tq *tenantQueue) head(jobs map[string]*Job, fair bool) (schedEntry, int, bool) {
-	best, bestLane, found := schedEntry{}, 0, false
+// head returns the tenant's next entry and its lane — priority orders
+// picks within the tenant, so the first nonempty lane, highest first,
+// wins — pruning entries whose job is gone or no longer queued (canceled,
+// GC'd, or already picked via a duplicate entry).
+func (tq *tenantQueue) head(jobs map[string]*Job) (schedEntry, int, bool) {
 	for lane := 0; lane < numLanes; lane++ {
 		q := tq.lanes[lane]
 		for len(q) > 0 {
@@ -188,25 +136,11 @@ func (tq *tenantQueue) head(jobs map[string]*Job, fair bool) (schedEntry, int, b
 			q = q[1:]
 		}
 		tq.lanes[lane] = q
-		if len(q) == 0 {
-			continue
-		}
-		if fair {
-			// Priority orders picks within the tenant: the first
-			// nonempty lane, highest first, wins.
+		if len(q) > 0 {
 			return q[0], lane, true
 		}
-		if !found || q[0].seq < best.seq {
-			best, bestLane, found = q[0], lane, true
-		}
 	}
-	return best, bestLane, found
-}
-
-// empty reports whether the tenant has no live pending entries.
-func (tq *tenantQueue) empty(jobs map[string]*Job) bool {
-	_, _, ok := tq.head(jobs, true)
-	return !ok
+	return schedEntry{}, 0, false
 }
 
 // scheduler holds the pending set and the pick bookkeeping. All access
@@ -266,22 +200,19 @@ func (s *scheduler) pushFront(j *Job, seq uint64) {
 	tq.lanes[lane] = append([]schedEntry{{id: j.ID, seq: seq}}, tq.lanes[lane]...)
 }
 
-// pick chooses the next job to start under policy p and pool state st,
-// removes its entry, and returns its id and sequence number. ok=false
-// means nothing pending fits right now (the caller waits for a signal:
-// a new submission, a job finishing, or shutdown).
-func (s *scheduler) pick(p PickPolicy, st PoolState, jobs map[string]*Job) (id string, seq uint64, ok bool) {
-	if !p.TenantFair() {
-		return s.pickFIFO(p, st, jobs)
-	}
+// pick chooses the next job to start under pool state st, removes its
+// entry, and returns its id and sequence number. ok=false means nothing
+// pending fits right now (the caller waits for a signal: a new
+// submission, a job finishing, or shutdown).
+func (s *scheduler) pick(st PoolState, jobs map[string]*Job) (id string, seq uint64, ok bool) {
 	n := len(s.ring)
 	for i := 0; i < n; i++ {
 		tq := s.ring[(s.cursor+i)%n]
-		e, lane, ok := tq.head(jobs, true)
+		e, lane, ok := tq.head(jobs)
 		if !ok {
 			continue
 		}
-		if !p.Fits(jobs[e.id].Cost, st) {
+		if !fits(jobs[e.id].Cost, st) {
 			s.skips++
 			continue
 		}
@@ -295,45 +226,18 @@ func (s *scheduler) pick(p PickPolicy, st PoolState, jobs map[string]*Job) (id s
 		} else {
 			s.cursor = (s.cursor + i) % n
 		}
-		s.account(tq, p, st, jobs)
+		s.account(tq, st, jobs)
 		return e.id, e.seq, true
 	}
 	return "", 0, false
 }
 
-// pickFIFO takes the globally oldest live entry — the seed queue's exact
-// order — honoring the policy's fit check (always true for fifoPolicy).
-func (s *scheduler) pickFIFO(p PickPolicy, st PoolState, jobs map[string]*Job) (string, uint64, bool) {
-	var (
-		best     *tenantQueue
-		bestE    schedEntry
-		bestLane int
-		found    bool
-	)
-	for _, tq := range s.ring {
-		if e, lane, ok := tq.head(jobs, false); ok && (!found || e.seq < bestE.seq) {
-			best, bestE, bestLane, found = tq, e, lane, true
-		}
-	}
-	if !found {
-		return "", 0, false
-	}
-	if !p.Fits(jobs[bestE.id].Cost, st) {
-		s.skips++
-		return "", 0, false
-	}
-	best.lanes[bestLane] = best.lanes[bestLane][1:]
-	s.picks++
-	s.served[best.name]++
-	return bestE.id, bestE.seq, true
-}
-
-// account updates the fairness bookkeeping after a fair-mode pick:
+// account updates the fairness bookkeeping after a pick:
 // served counters, and the bypassed-while-eligible wait of every other
 // tenant (reset when a tenant is served or observed ineligible, so
 // waited counts consecutive eligible bypasses — the quantity the
 // weighted round-robin bounds at Σweights − weight(t)).
-func (s *scheduler) account(served *tenantQueue, p PickPolicy, st PoolState, jobs map[string]*Job) {
+func (s *scheduler) account(served *tenantQueue, st PoolState, jobs map[string]*Job) {
 	s.picks++
 	s.served[served.name]++
 	if served.waited > s.maxWait {
@@ -344,7 +248,7 @@ func (s *scheduler) account(served *tenantQueue, p PickPolicy, st PoolState, job
 		if tq == served {
 			continue
 		}
-		if e, _, ok := tq.head(jobs, true); ok && p.Fits(jobs[e.id].Cost, st) {
+		if e, _, ok := tq.head(jobs); ok && fits(jobs[e.id].Cost, st) {
 			tq.waited++
 			if tq.waited > s.maxWait {
 				s.maxWait = tq.waited
@@ -358,7 +262,7 @@ func (s *scheduler) account(served *tenantQueue, p PickPolicy, st PoolState, job
 // SchedCounters is the scheduler's instrumentation snapshot, served
 // under the jobs_sched_* keys of /metrics.
 type SchedCounters struct {
-	// Policy names the active pick policy ("balanced" or "fifo").
+	// Policy names the pick policy; always "balanced".
 	Policy string `json:"policy"`
 	// Picks counts jobs handed to workers; Skips counts pick passes
 	// that bypassed a pending job because its footprint did not fit the

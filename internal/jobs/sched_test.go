@@ -236,7 +236,6 @@ func TestQuickPickNeverExceedsDrainTarget(t *testing.T) {
 			jobs[j.ID] = j
 			s.push(j)
 		}
-		p := BalancedPolicy()
 		const drain, budget = 1000.0, int64(4096)
 		target := int64(drain * drainHorizonSeconds)
 		if budget < target {
@@ -252,7 +251,7 @@ func TestQuickPickNeverExceedsDrainTarget(t *testing.T) {
 				DrainBPS:       drain,
 				MemBudgetBytes: budget,
 			}
-			if id, _, ok := s.pick(p, st, jobs); ok {
+			if id, _, ok := s.pick(st, jobs); ok {
 				j := jobs[id]
 				j.State = Running
 				running = append(running, id)
@@ -302,9 +301,8 @@ func TestQuickNoTenantStarvation(t *testing.T) {
 			jobs[j.ID] = j
 			s.push(j)
 		}
-		p := BalancedPolicy()
 		for {
-			id, _, ok := s.pick(p, PoolState{}, jobs) // idle pool: all fit
+			id, _, ok := s.pick(PoolState{}, jobs) // idle pool: all fit
 			if !ok {
 				break
 			}
@@ -341,7 +339,7 @@ func TestWeightedRoundRobinBound(t *testing.T) {
 	}
 	var got []string
 	for {
-		id, _, ok := s.pick(BalancedPolicy(), PoolState{}, jobs)
+		id, _, ok := s.pick(PoolState{}, jobs)
 		if !ok {
 			break
 		}
@@ -477,11 +475,10 @@ func BenchmarkSchedulerPick(b *testing.B) {
 		jobs[j.ID] = j
 		s.push(j)
 	}
-	p := BalancedPolicy()
 	st := PoolState{RunningJobs: 1, DrainBPS: 1 << 20, MemBudgetBytes: 256 << 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, seq, ok := s.pick(p, st, jobs)
+		id, seq, ok := s.pick(st, jobs)
 		if !ok {
 			b.Fatal("scheduler ran dry")
 		}

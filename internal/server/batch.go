@@ -58,7 +58,7 @@ func (s *Server) batchItem(ctx context.Context, item BatchItem) BatchResult {
 	case "roofline":
 		body, err = decodeAndRun(ctx, item.Request, s.roofline)
 	case "sweep":
-		body, err = decodeAndRun(ctx, item.Request, s.sweep)
+		body, err = decodeAndRun(ctx, item.Request, s.runSweep)
 	case "experiment":
 		body, err = decodeAndRun(ctx, item.Request, s.experimentOp)
 	case "":
@@ -78,7 +78,6 @@ func (s *Server) batchItem(ctx context.Context, item BatchItem) BatchResult {
 	// its bytes, the scratch goes back to the pool.
 	bb := getBuf()
 	data, mErr := appendJSONCompact(bb.b[:0], body)
-	releaseBody(body)
 	if mErr != nil {
 		putBuf(bb)
 		res.Status = http.StatusInternalServerError

@@ -1,11 +1,9 @@
 package server
 
-// Differential tests pinning the zero-allocation hot path to encoding/json:
-// the append encoder must be byte-identical to the stdlib for every hot
-// response type (including the float formatting and HTML-escaping corner
-// cases), and the fast request decoder must be observationally identical to
-// strictDecodeJSON — same DTO on success, same error envelope on failure —
-// for any input whatsoever. The fuzz target extends the corpora.
+// Differential tests pinning the append encoder to encoding/json: it must
+// be byte-identical to the stdlib for every hot response type (including
+// the float formatting and HTML-escaping corner cases), on the wire of
+// every JSON endpoint and in every batch item.
 
 import (
 	"bytes"
@@ -13,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -248,75 +245,4 @@ func TestBatchItemBytesMatchStdlib(t *testing.T) {
 			t.Errorf("item %d: body diverges from json.Marshal\n got: %q\nwant: %q", i, got.Bytes(), want)
 		}
 	}
-}
-
-// decoderCorpus is the deterministic fast-vs-strict decode corpus: valid
-// bodies the fast path should accept, and every bail/edge class — escapes,
-// duplicate keys, unknown and case-folded fields, float forms, overflow,
-// null, empty arrays, trailing data, syntax errors.
-var decoderCorpus = []string{
-	`{"pe": {"c": 50e6, "io": 1e6, "m": 4096}, "computation": {"name": "fft"}}`,
-	`{"pe": {"c": 1e9}, "levels": [{"name": "sram", "bw": 4e9, "m": 1024}], "computation": {"name": "matmul"}}`,
-	`{"kernel": "sort", "params": [64, 128, 256], "seed": 7}`,
-	`{"kernel": "matmul", "n": 256, "params": [4, 8]}`,
-	`{"kernel": "hierarchy", "c": 8e6, "levels": [{"bw": 1e6, "m": 16}], "computation": {"name": "sorting"}, "params": [16], "vary": "bandwidth", "level": 1}`,
-	`{}`, `  {  } `, `null`, `true`, `[]`, `""`, `17`, ``, `   `,
-	`{"pe": {"c": 1}, "pe": {"io": 2}}`,                         // duplicate key: merge
-	`{"computation": {"name": "a"}, "computation": {"dim": 3}}`, // duplicate pointer: merge in place
-	`{"Kernel": "sort"}`,                                        // case-insensitive match
-	`{"KERNEL": "sort", "params": [1]}`,                         // case-insensitive match
-	`{"kernel": "s\\u006frt", "params": []}`,                    // escape in string + empty array
-	`{"kernel": "日本語"}`,                                         // non-ASCII string bytes
-	`{"unknown_field": 1}`,
-	`{"n": 1.5}`, `{"n": 1e2}`, `{"n": -0}`, `{"n": 9223372036854775807}`,
-	`{"n": 9223372036854775808}`, `{"seed": -9223372036854775808}`,
-	`{"pe": {"c": -0.0}}`, `{"pe": {"c": 0.1e-400}}`, `{"pe": {"c": 1e400}}`,
-	`{"pe": {"c": 179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000.5}}`,
-	`{"pe": null}`, `{"levels": null}`, `{"params": null}`,
-	`{"levels": []}`, `{"params": []}`,
-	`{"params": [1, 2,]}`, `{"params": [01]}`, `{"n": 007}`,
-	`{"kernel": "sort"} trailing`, `{"kernel": "sort"}{}`,
-	`{"kernel": "sort"`, `{"kernel": sort}`, `{"kernel": "sort",}`,
-	"{\"kernel\": \"s\x00rt\"}", `{"kernel": "bad \ud800 surrogate"}`,
-	`{"max_memory": 1e18, "pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "grid", "dim": 3, "taps": 4}}`,
-}
-
-// diffDecode runs one body through the fast-with-fallback path and the pure
-// strict path and fails on any observable difference.
-func diffDecode[Req any](t *testing.T, body []byte) {
-	t.Helper()
-	var fast, slow Req
-	fastErr := decodeBody(&fast, body)
-	slowErr := strictDecodeJSON(bytes.NewReader(body), &slow)
-	if (fastErr == nil) != (slowErr == nil) {
-		t.Fatalf("%T %q: fast err %v, strict err %v", fast, body, fastErr, slowErr)
-	}
-	if fastErr != nil {
-		if !reflect.DeepEqual(*fastErr, *slowErr) {
-			t.Errorf("%T %q: error envelopes diverge\n fast: %+v\nslow: %+v", fast, body, fastErr, slowErr)
-		}
-		return
-	}
-	if !reflect.DeepEqual(fast, slow) {
-		t.Errorf("%T %q: decoded DTOs diverge\n fast: %+v\nslow: %+v", fast, body, fast, slow)
-	}
-}
-
-func TestFastDecodeDifferential(t *testing.T) {
-	for _, body := range decoderCorpus {
-		diffDecode[AnalyzeRequest](t, []byte(body))
-		diffDecode[SweepRequest](t, []byte(body))
-	}
-}
-
-// FuzzFastDecodeDifferential lets the fuzzer hunt for any byte sequence
-// where the fast decoder and strictDecodeJSON disagree.
-func FuzzFastDecodeDifferential(f *testing.F) {
-	for _, body := range decoderCorpus {
-		f.Add([]byte(body))
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		diffDecode[AnalyzeRequest](t, body)
-		diffDecode[SweepRequest](t, body)
-	})
 }

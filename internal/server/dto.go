@@ -471,8 +471,13 @@ type ExperimentRef struct {
 
 // decodeStrict parses exactly one JSON value from r into v, rejecting
 // unknown fields, trailing garbage, and oversized bodies — malformed input
-// is 400, an over-limit body is 413.
+// is 400, an over-limit body is 413. A declared length over the limit is
+// 413 before any byte is read: the decoder would otherwise accept a value
+// that ends inside the limit and never reach the limit error.
 func decodeStrict(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) *apiError {
+	if r.ContentLength > maxBytes {
+		return asAPIError(&http.MaxBytesError{Limit: maxBytes})
+	}
 	return strictDecodeJSON(http.MaxBytesReader(w, r.Body, maxBytes), v)
 }
 

@@ -84,6 +84,39 @@ func assertEnvelopeContract(t *testing.T, path string, body []byte) {
 	}
 }
 
+// decoderEdgeSeeds walks the strict decoder's edge classes over the
+// analyze and sweep fields: valid bodies, escapes, duplicate keys (which
+// merge), unknown and case-folded names, float forms, int64 overflow,
+// 1e400, null, empty arrays, trailing data, syntax errors and lone
+// surrogates. Both targets seed with all of it, so plain `go test` holds
+// every case to the envelope contract on both endpoints.
+var decoderEdgeSeeds = []string{
+	`{"pe": {"c": 50e6, "io": 1e6, "m": 4096}, "computation": {"name": "fft"}}`,
+	`{"pe": {"c": 1e9}, "levels": [{"name": "sram", "bw": 4e9, "m": 1024}], "computation": {"name": "matmul"}}`,
+	`{"kernel": "sort", "params": [64, 128, 256], "seed": 7}`,
+	`{"kernel": "matmul", "n": 256, "params": [4, 8]}`,
+	`{"kernel": "hierarchy", "c": 8e6, "levels": [{"bw": 1e6, "m": 16}], "computation": {"name": "sorting"}, "params": [16], "vary": "bandwidth", "level": 1}`,
+	`{}`, `  {  } `, `null`, `true`, `[]`, `""`, `17`, ``, `   `,
+	`{"pe": {"c": 1}, "pe": {"io": 2}}`,                         // duplicate key: merge
+	`{"computation": {"name": "a"}, "computation": {"dim": 3}}`, // duplicate pointer: merge in place
+	`{"Kernel": "sort"}`,                                        // case-insensitive match
+	`{"KERNEL": "sort", "params": [1]}`,                         // case-insensitive match
+	`{"kernel": "s\\u006frt", "params": []}`,                    // escape in string + empty array
+	`{"kernel": "日本語"}`,                                         // non-ASCII string bytes
+	`{"unknown_field": 1}`,
+	`{"n": 1.5}`, `{"n": 1e2}`, `{"n": -0}`, `{"n": 9223372036854775807}`,
+	`{"n": 9223372036854775808}`, `{"seed": -9223372036854775808}`,
+	`{"pe": {"c": -0.0}}`, `{"pe": {"c": 0.1e-400}}`, `{"pe": {"c": 1e400}}`,
+	`{"pe": {"c": 179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000.5}}`,
+	`{"pe": null}`, `{"levels": null}`, `{"params": null}`,
+	`{"levels": []}`, `{"params": []}`,
+	`{"params": [1, 2,]}`, `{"params": [01]}`, `{"n": 007}`,
+	`{"kernel": "sort"} trailing`, `{"kernel": "sort"}{}`,
+	`{"kernel": "sort"`, `{"kernel": sort}`, `{"kernel": "sort",}`,
+	"{\"kernel\": \"s\x00rt\"}", `{"kernel": "bad \ud800 surrogate"}`,
+	`{"max_memory": 1e18, "pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "grid", "dim": 3, "taps": 4}}`,
+}
+
 func FuzzAnalyzeRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"pe": {"c": 50e6, "io": 1e6, "m": 4096}, "computation": {"name": "fft"}}`,
@@ -95,7 +128,16 @@ func FuzzAnalyzeRequest(f *testing.F) {
 		``,
 		`null`,
 		`{"pe": {}, "computation": {"name": "sorting"}, "max_memory": -1}`,
+		// Strict-decoder edge cases the generic corpus posts only to
+		// sweep fields: case-folded names, int64 overflow, a lone
+		// surrogate, here on analyze's own fields.
+		`{"PE": {"C": 50e6, "IO": 1e6, "M": 4096}, "COMPUTATION": {"Name": "fft"}}`,
+		`{"pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "grid", "dim": 9223372036854775808}}`,
+		`{"pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "bad \ud800 surrogate"}}`,
 	} {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range decoderEdgeSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -118,6 +160,9 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"kernel": "matmul", "n": -1, "params": [0]}`,
 		`{"unknown_field": true}`,
 	} {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range decoderEdgeSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -73,23 +73,22 @@ func (s *Server) analyzeHierarchy(req *AnalyzeRequest, comp model.Computation, m
 		return nil, unprocessable("invalid_argument", "%v", err)
 	}
 	bind := a.BindingBoundary()
-	resp := getAnalyzeResponse()
-	resp.Computation = comp.Name
-	resp.Section = comp.Section
-	resp.PE = PEDTO{C: h.C, IO: bind.Level.BW, M: bind.CapacityWithin}
-	resp.Intensity = bind.Intensity
-	resp.AchievableRatio = bind.AchievableRatio
-	resp.State = balanceStateName(a.State)
-	resp.BalancedMemory = bind.BalancedMemory
-	resp.Rebalanceable = bind.Rebalanceable
-	resp.Law = lawDescription(comp.Law)
-	// Levels aliases the request's slice; putAnalyzeResponse drops it
-	// rather than recycling it for exactly that reason.
-	resp.Levels = req.Levels
-	resp.BindingBoundary = a.Binding
-	boundaries := resp.Boundaries[:0]
-	for _, b := range a.Boundaries {
-		boundaries = append(boundaries, BoundaryDTO{
+	resp := &AnalyzeResponse{
+		Computation:     comp.Name,
+		Section:         comp.Section,
+		PE:              PEDTO{C: h.C, IO: bind.Level.BW, M: bind.CapacityWithin},
+		Intensity:       bind.Intensity,
+		AchievableRatio: bind.AchievableRatio,
+		State:           balanceStateName(a.State),
+		BalancedMemory:  bind.BalancedMemory,
+		Rebalanceable:   bind.Rebalanceable,
+		Law:             lawDescription(comp.Law),
+		Levels:          req.Levels,
+		BindingBoundary: a.Binding,
+		Boundaries:      make([]BoundaryDTO, len(a.Boundaries)),
+	}
+	for i, b := range a.Boundaries {
+		resp.Boundaries[i] = BoundaryDTO{
 			Boundary:        b.Boundary,
 			Name:            b.Level.Name,
 			BW:              b.Level.BW,
@@ -99,9 +98,8 @@ func (s *Server) analyzeHierarchy(req *AnalyzeRequest, comp model.Computation, m
 			State:           balanceStateName(b.State),
 			BalancedMemory:  b.BalancedMemory,
 			Rebalanceable:   b.Rebalanceable,
-		})
+		}
 	}
-	resp.Boundaries = boundaries
 	return resp, nil
 }
 

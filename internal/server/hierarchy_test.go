@@ -286,7 +286,7 @@ func TestHierarchySweepCacheKeyInjective(t *testing.T) {
 	b := &SweepRequest{Kernel: "hierarchy", C: 1,
 		Levels:      []LevelDTO{{Name: "a", BW: 3, M: 2}, {Name: "b", BW: 1, M: 4}},
 		Computation: &ComputationDTO{Name: "sorting"}, Params: []int{8}}
-	if ka, kb := sweepCacheKey(a), sweepCacheKey(b); ka == kb {
+	if ka, kb := sweepCacheKey(a, a.Params), sweepCacheKey(b, b.Params); ka == kb {
 		t.Fatalf("two different machines share a cache key: %s", ka)
 	}
 }

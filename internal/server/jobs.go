@@ -287,7 +287,7 @@ func (s *Server) runJobOp(ctx context.Context, op string, raw json.RawMessage) (
 	case "roofline":
 		return decodeAndRun(ctx, raw, s.roofline)
 	case "sweep":
-		return decodeAndRun(ctx, raw, s.sweep)
+		return decodeAndRun(ctx, raw, s.runSweep)
 	case "experiment":
 		return decodeAndRun(ctx, raw, s.experimentOp)
 	case "batch":
@@ -312,9 +312,7 @@ func (s *Server) jobExecutor() jobs.Exec {
 		if apiErr != nil {
 			return nil, apiErr
 		}
-		data, err := encodeJSONBody(body)
-		releaseBody(body) // pooled responses go back once their bytes are stored
-		return data, err
+		return encodeJSONBody(body)
 	}
 }
 

@@ -1,30 +1,14 @@
 package server
 
-// Hot-path object pools. The pooling rules (documented in DESIGN.md §8):
-//
-//   - Pool only types the request path creates per request: encode buffers,
-//     the analyze/sweep request and response DTOs, the sweep-key scratch.
-//   - A pooled object is released exactly once, after its last read, and
-//     never retained past the release (enforced by putting the release at
-//     the single call site that finishes with the object).
-//   - put* resets every field. Response-owned slices keep their backing
-//     array ([:0]); any slice that can alias request-owned memory is set to
-//     nil instead — AnalyzeResponse.Levels aliases the request's Levels, so
-//     recycling it would let two pooled objects share one backing array.
-//   - Capacity caps keep one huge request from parking a huge buffer in the
-//     pool forever.
-//   - Forgetting to release is safe (the object is garbage collected);
-//     releasing twice or using after release is not — when in doubt, don't
-//     release.
+// The encode-buffer pool: writeJSONStatus, writeError, the batch item
+// encoder and the Prometheus exposition append their bytes into a recycled
+// buffer. Request and response DTOs are plain heap values (DESIGN.md §8).
 
 import "sync"
 
-const (
-	// maxPooledBufBytes caps a recycled encode/read buffer.
-	maxPooledBufBytes = 64 << 10
-	// maxPooledSliceElems caps recycled DTO slice backing arrays.
-	maxPooledSliceElems = 256
-)
+// maxPooledBufBytes caps a recycled buffer, so one huge response cannot
+// park a huge buffer in the pool forever.
+const maxPooledBufBytes = 64 << 10
 
 // byteBuf boxes a byte slice so the pool stores pointers (a plain []byte
 // would be boxed into a fresh interface allocation on every Put).
@@ -40,98 +24,4 @@ func putBuf(bb *byteBuf) {
 	}
 	bb.b = bb.b[:0]
 	bufPool.Put(bb)
-}
-
-// --- request DTOs ---
-
-var analyzeReqPool = sync.Pool{New: func() any { return new(AnalyzeRequest) }}
-
-func getAnalyzeRequest() *AnalyzeRequest { return analyzeReqPool.Get().(*AnalyzeRequest) }
-
-func putAnalyzeRequest(r *AnalyzeRequest) {
-	levels := r.Levels
-	*r = AnalyzeRequest{}
-	if cap(levels) <= maxPooledSliceElems {
-		r.Levels = levels[:0]
-	}
-	analyzeReqPool.Put(r)
-}
-
-var sweepReqPool = sync.Pool{New: func() any { return new(SweepRequest) }}
-
-func getSweepRequest() *SweepRequest { return sweepReqPool.Get().(*SweepRequest) }
-
-func putSweepRequest(r *SweepRequest) {
-	params, levels := r.Params, r.Levels
-	*r = SweepRequest{}
-	if cap(params) <= maxPooledSliceElems {
-		r.Params = params[:0]
-	}
-	if cap(levels) <= maxPooledSliceElems {
-		r.Levels = levels[:0]
-	}
-	sweepReqPool.Put(r)
-}
-
-// --- response DTOs ---
-
-var analyzeRespPool = sync.Pool{New: func() any { return new(AnalyzeResponse) }}
-
-func getAnalyzeResponse() *AnalyzeResponse { return analyzeRespPool.Get().(*AnalyzeResponse) }
-
-func putAnalyzeResponse(r *AnalyzeResponse) {
-	// Levels aliases the request's slice (see analyzeHierarchy) — drop it,
-	// never recycle it. Boundaries is response-owned and safe to keep.
-	boundaries := r.Boundaries
-	*r = AnalyzeResponse{}
-	if cap(boundaries) <= maxPooledSliceElems {
-		r.Boundaries = boundaries[:0]
-	}
-	analyzeRespPool.Put(r)
-}
-
-var sweepRespPool = sync.Pool{New: func() any { return new(SweepResponse) }}
-
-func getSweepResponse() *SweepResponse { return sweepRespPool.Get().(*SweepResponse) }
-
-func putSweepResponse(r *SweepResponse) {
-	points := r.Points
-	*r = SweepResponse{}
-	if cap(points) <= maxPooledSliceElems {
-		r.Points = points[:0]
-	}
-	sweepRespPool.Put(r)
-}
-
-// releaseBody returns a core operation's response to its pool when it is a
-// pooled type; everything else is a no-op. Shared by the handlers, the
-// batch items, and the job executor — each calls it once, after the body's
-// bytes are on the wire (or in the stored result).
-func releaseBody(v any) {
-	switch t := v.(type) {
-	case *AnalyzeResponse:
-		putAnalyzeResponse(t)
-	case *SweepResponse:
-		putSweepResponse(t)
-	}
-}
-
-// sweepScratch recycles the per-request allocations of the sweep cache
-// lookup: the key bytes and the sorted-params copy.
-type sweepScratch struct {
-	key    []byte
-	params []int
-}
-
-var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
-
-func getSweepScratch() *sweepScratch { return sweepScratchPool.Get().(*sweepScratch) }
-
-func putSweepScratch(sc *sweepScratch) {
-	if cap(sc.key) > maxPooledBufBytes || cap(sc.params) > maxPooledSliceElems {
-		return
-	}
-	sc.key = sc.key[:0]
-	sc.params = sc.params[:0]
-	sweepScratchPool.Put(sc)
 }

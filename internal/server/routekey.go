@@ -34,7 +34,7 @@ func RouteKeyForSweep(body []byte) (key string, ok bool) {
 		// has no memo entry anywhere — placement is immaterial.
 		return "", false
 	}
-	return sweepCacheKey(&req), true
+	return sweepCacheKey(&req, sortedCopy(req.Params)), true
 }
 
 // RouteIDForJob derives the job id POST /v1/jobs will assign to a

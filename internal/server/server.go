@@ -27,11 +27,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -111,11 +109,6 @@ type Options struct {
 	// of RequestTimeout: outliving one HTTP request is the point of a
 	// job.
 	JobTimeout time.Duration
-	// JobSchedPolicy selects the queue's pick policy by name: "" or
-	// "balanced" for memory-aware, tenant-fair scheduling; "fifo" for
-	// strict global submission order. An unknown name fails the async
-	// subsystem open (reported via JobsErr), not the whole server.
-	JobSchedPolicy string
 
 	// NodeID, when set, stamps every response with NodeHeader — how a
 	// cluster gateway's clients (and tests) see which member actually
@@ -226,12 +219,6 @@ func (s *Server) openJobs() {
 	if jt < 0 {
 		jt = 0 // jobs.Options treats 0 as "no deadline"
 	}
-	policy, err := jobs.PolicyByName(s.opts.JobSchedPolicy)
-	if err != nil {
-		st.Close()
-		s.jobsErr = err
-		return
-	}
 	var (
 		tenantBudgets map[string]int64
 		tenantWeights map[string]int
@@ -245,7 +232,6 @@ func (s *Server) openJobs() {
 		MemBudgetBytes: s.opts.MemBudgetBytes,
 		TenantBudgets:  tenantBudgets,
 		TenantWeights:  tenantWeights,
-		Policy:         policy,
 		TTL:            s.opts.JobTTL,
 		JobTimeout:     jt,
 		Notify:         s.publishJobTransition,
@@ -421,13 +407,13 @@ var apiRoutes = []apiRoute{
 	{"GET /v1/catalog", "the computation catalog: wire ids, paper sections, growth laws, ratio families",
 		func(s *Server) http.HandlerFunc { return s.handleCatalog }},
 	{"POST /v1/analyze", "balance diagnosis for a PE (or memory hierarchy) against a catalog computation",
-		func(s *Server) http.HandlerFunc { return s.handleAnalyze }},
+		func(s *Server) http.HandlerFunc { return jsonHandler(s, s.analyze) }},
 	{"POST /v1/rebalance", "memory required to keep a computation balanced after a speedup of alpha",
 		func(s *Server) http.HandlerFunc { return jsonHandler(s, s.rebalance) }},
 	{"POST /v1/roofline", "roofline model evaluation across computations and a memory sweep",
 		func(s *Server) http.HandlerFunc { return jsonHandler(s, s.roofline) }},
 	{"POST /v1/sweep", "measured compute/IO ratio curve for a real kernel (memoized, single-flight)",
-		func(s *Server) http.HandlerFunc { return s.handleSweep }},
+		func(s *Server) http.HandlerFunc { return stagedHandler(s, s.runSweep) }},
 	{"POST /v1/emulation", "Hanlon's emulation analysis: N memory modules behaving as one large memory, vs the ideal flat machine",
 		func(s *Server) http.HandlerFunc { return jsonHandler(s, s.emulation) }},
 	{"GET /v1/experiments", "the experiment registry: paper reproductions by id",
@@ -544,10 +530,24 @@ func apiIndexResponse() APIIndexResponse {
 }
 
 // jsonHandler adapts a decode→core→encode operation: strict-decodes Req,
-// runs the core, writes the response or the error envelope. The same core
+// runs the core, writes the response or the error envelope, recording each
+// step as its pipeline stage (decode, compute, encode). The same core
 // functions serve /v1/batch, so standalone and batched requests cannot
 // drift apart.
 func jsonHandler[Req any, Resp any](s *Server, core func(context.Context, *Req) (Resp, *apiError)) http.HandlerFunc {
+	return stagedHandler(s, func(ctx context.Context, req *Req) (Resp, *apiError) {
+		t0 := time.Now()
+		resp, apiErr := core(ctx, req)
+		s.obsStage(obs.TraceFrom(ctx), obs.StageCompute, t0)
+		return resp, apiErr
+	})
+}
+
+// stagedHandler is jsonHandler for a core that records its own stages
+// between decode and encode: runSweep splits its work into the
+// cache_lookup probe and the kernel flight, so one compute span around it
+// would count the flight twice.
+func stagedHandler[Req any, Resp any](s *Server, core func(context.Context, *Req) (Resp, *apiError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.TraceFrom(r.Context())
 		t0 := time.Now()
@@ -558,9 +558,7 @@ func jsonHandler[Req any, Resp any](s *Server, core func(context.Context, *Req) 
 			writeError(w, apiErr)
 			return
 		}
-		t0 = time.Now()
 		resp, apiErr := core(r.Context(), &req)
-		s.obsStage(tr, obs.StageCompute, t0)
 		if apiErr != nil {
 			writeError(w, apiErr)
 			return
@@ -591,138 +589,6 @@ func (s *Server) observePoolJob(_ string, elapsed time.Duration, cached bool) {
 	}
 }
 
-// readBody reads the whole request body into a pooled buffer, enforcing
-// MaxBodyBytes: a known over-limit length is an immediate 413 (the same
-// code and message http.MaxBytesReader produces), an unknown-length body
-// reads through http.MaxBytesReader. On success the caller owns the
-// returned buffer and must putBuf it.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*byteBuf, *apiError) {
-	maxBytes := s.opts.MaxBodyBytes
-	if cl := r.ContentLength; cl >= 0 {
-		if cl > maxBytes {
-			return nil, asAPIError(&http.MaxBytesError{Limit: maxBytes})
-		}
-		bb := getBuf()
-		if int64(cap(bb.b)) < cl {
-			bb.b = make([]byte, cl)
-		} else {
-			bb.b = bb.b[:cl]
-		}
-		n, err := io.ReadFull(r.Body, bb.b)
-		bb.b = bb.b[:n]
-		switch err {
-		case nil, io.ErrUnexpectedEOF, io.EOF:
-			// A short or empty body keeps its partial bytes: the decode
-			// step produces the stdlib's canonical truncation/empty-body
-			// error from them.
-			return bb, nil
-		default:
-			putBuf(bb)
-			return nil, badRequest("bad_json", "%v", err)
-		}
-	}
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	bb := getBuf()
-	b := bb.b[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			bb.b = b
-			if err == io.EOF {
-				return bb, nil
-			}
-			putBuf(bb)
-			return nil, asDecodeError(err)
-		}
-	}
-}
-
-// decodeBody strict-decodes data into the pooled request DTO: the
-// allocation-free fast decoder first, and on any deviation from its subset
-// a zeroed replay through strictDecodeJSON, so accepted inputs decode
-// exactly as encoding/json would and rejected ones carry its exact errors.
-func decodeBody[Req any](req *Req, data []byte) *apiError {
-	if fastDecodeRequest(req, data) {
-		return nil
-	}
-	var zero Req
-	*req = zero
-	return strictDecodeJSON(bytes.NewReader(data), req)
-}
-
-// handleAnalyze is POST /v1/analyze: jsonHandler's decode→core→encode with
-// the pooled request/response DTOs and buffers threaded through, so the
-// cached path completes without heap allocation.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	tr := obs.TraceFrom(r.Context())
-	t0 := time.Now()
-	bb, apiErr := s.readBody(w, r)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	req := getAnalyzeRequest()
-	apiErr = decodeBody(req, bb.b)
-	putBuf(bb)
-	s.obsStage(tr, obs.StageDecode, t0)
-	if apiErr != nil {
-		putAnalyzeRequest(req)
-		writeError(w, apiErr)
-		return
-	}
-	t0 = time.Now()
-	resp, apiErr := s.analyze(r.Context(), req)
-	s.obsStage(tr, obs.StageCompute, t0)
-	if apiErr != nil {
-		putAnalyzeRequest(req)
-		writeError(w, apiErr)
-		return
-	}
-	t0 = time.Now()
-	writeJSON(w, resp)
-	s.obsStage(tr, obs.StageEncode, t0)
-	releaseBody(resp) // before the request: resp.Levels may alias req.Levels
-	putAnalyzeRequest(req)
-}
-
-// handleSweep is POST /v1/sweep, pooled like handleAnalyze.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	tr := obs.TraceFrom(r.Context())
-	t0 := time.Now()
-	bb, apiErr := s.readBody(w, r)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	req := getSweepRequest()
-	apiErr = decodeBody(req, bb.b)
-	putBuf(bb)
-	s.obsStage(tr, obs.StageDecode, t0)
-	if apiErr != nil {
-		putSweepRequest(req)
-		writeError(w, apiErr)
-		return
-	}
-	// runSweep records the cache_lookup and compute stages itself: the
-	// memo probe and the (possibly joined) kernel flight are distinct
-	// pipeline stages, not one opaque "core" span.
-	resp, apiErr := s.sweep(r.Context(), req)
-	if apiErr != nil {
-		putSweepRequest(req)
-		writeError(w, apiErr)
-		return
-	}
-	t0 = time.Now()
-	writeJSON(w, resp)
-	s.obsStage(tr, obs.StageEncode, t0)
-	releaseBody(resp)
-	putSweepRequest(req)
-}
-
 // --- core operations (shared by handlers and /v1/batch) ---
 
 // analyze diagnoses a PE — or, when the request carries levels, a whole
@@ -744,17 +610,17 @@ func (s *Server) analyze(_ context.Context, req *AnalyzeRequest) (*AnalyzeRespon
 		// Analyze fails only on invalid PE parameters.
 		return nil, unprocessable("invalid_argument", "%v", err)
 	}
-	resp := getAnalyzeResponse()
-	resp.Computation = comp.Name
-	resp.Section = comp.Section
-	resp.PE = peDTO(a.PE)
-	resp.Intensity = a.Intensity
-	resp.AchievableRatio = a.AchievableRatio
-	resp.State = balanceStateName(a.State)
-	resp.BalancedMemory = a.BalancedMemory
-	resp.Rebalanceable = a.Rebalanceable
-	resp.Law = lawDescription(comp.Law)
-	return resp, nil
+	return &AnalyzeResponse{
+		Computation:     comp.Name,
+		Section:         comp.Section,
+		PE:              peDTO(a.PE),
+		Intensity:       a.Intensity,
+		AchievableRatio: a.AchievableRatio,
+		State:           balanceStateName(a.State),
+		BalancedMemory:  a.BalancedMemory,
+		Rebalanceable:   a.Rebalanceable,
+		Law:             lawDescription(comp.Law),
+	}, nil
 }
 
 // rebalance answers the memory-growth question numerically and in closed
@@ -857,11 +723,6 @@ func (s *Server) roofline(_ context.Context, req *RooflineRequest) (*RooflineRes
 		resp.Chart = chart
 	}
 	return resp, nil
-}
-
-// sweep is the core behind POST /v1/sweep.
-func (s *Server) sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, *apiError) {
-	return s.runSweep(ctx, req)
 }
 
 // maxRooflinePoints caps a roofline path's geometric sweep. With the

@@ -1,15 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"balarch/internal/obs"
 )
 
 // doJSON drives one request through a handler and decodes the response.
@@ -367,10 +371,83 @@ func TestUnknownRouteAndMethod(t *testing.T) {
 	wantStatus(t, h, "GET", "/v1/analyze", "", 404, "unknown_route")
 }
 
+// TestBodyTooLarge: an over-limit body is the same 413 envelope, byte for
+// byte, whether or not the client declared its length up front. A valid
+// value padded past the limit is 413 too when its length is declared.
 func TestBodyTooLarge(t *testing.T) {
 	_, h := newTestHandler(Options{MaxBodyBytes: 64})
-	big := `{"kernel": "matmul", "n": 64, "params": [` + strings.Repeat("4,", 200) + `4]}`
-	wantStatus(t, h, "POST", "/v1/sweep", big, 413, "body_too_large")
+	overLimit := map[string]string{
+		"/v1/analyze": `{"pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "` + strings.Repeat("x", 200) + `"}}`,
+		"/v1/sweep":   `{"kernel": "matmul", "n": 64, "params": [` + strings.Repeat("4,", 200) + `4]}`,
+	}
+	// Valid values that end inside the 64-byte limit, padded past it.
+	padded := map[string]string{
+		"/v1/analyze": `{"pe":{"c":1,"io":1,"m":1},"computation":{"name":"fft"}}`,
+		"/v1/sweep":   `{"kernel":"matmul","n":64,"params":[4]}`,
+	}
+	for path, body := range padded {
+		if len(body) > 64 {
+			t.Fatalf("%s: padded value is %d bytes, must fit the limit", path, len(body))
+		}
+		padded[path] = body + strings.Repeat(" ", 100)
+	}
+	type bodyCase struct {
+		path, body string
+		chunked    bool
+	}
+	var cases []bodyCase
+	for _, path := range []string{"/v1/analyze", "/v1/sweep"} {
+		cases = append(cases,
+			bodyCase{path, overLimit[path], false},
+			bodyCase{path, overLimit[path], true},
+			bodyCase{path, padded[path], false})
+	}
+	var want []byte
+	for _, c := range cases {
+		var body io.Reader = strings.NewReader(c.body)
+		if c.chunked {
+			body = io.MultiReader(body) // hides the length: ContentLength -1
+		}
+		req := httptest.NewRequest("POST", c.path, body)
+		if got := req.ContentLength >= 0; got == c.chunked {
+			t.Fatalf("%s chunked=%v: ContentLength %d", c.path, c.chunked, req.ContentLength)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s chunked=%v: status %d, want 413\n%s", c.path, c.chunked, w.Code, w.Body.String())
+		}
+		if want == nil {
+			want = w.Body.Bytes()
+			if !strings.Contains(string(want), `"body_too_large"`) {
+				t.Fatalf("413 envelope %s lacks code body_too_large", want)
+			}
+		}
+		if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Errorf("%s chunked=%v: envelope %q, want %q", c.path, c.chunked, w.Body.Bytes(), want)
+		}
+	}
+}
+
+// TestSweepStageAccounting: a cached sweep records exactly one
+// cache_lookup observation and no compute observation — runSweep owns
+// its stages, so the handler must not wrap it in a compute span.
+func TestSweepStageAccounting(t *testing.T) {
+	s, h := newTestHandler(Options{})
+	body := `{"kernel": "matmul", "n": 64, "params": [8, 16]}`
+	wantStatus(t, h, "POST", "/v1/sweep", body, 200, "")
+	lookups := s.Stages().Snapshot(obs.StageCacheLookup).Count
+	computes := s.Stages().Snapshot(obs.StageCompute).Count
+	decoded := wantStatus(t, h, "POST", "/v1/sweep", body, 200, "")
+	if decoded["cached"] != true {
+		t.Fatalf("second sweep not served from the memo: %v", decoded)
+	}
+	if got := s.Stages().Snapshot(obs.StageCacheLookup).Count - lookups; got != 1 {
+		t.Errorf("cached sweep recorded %d cache_lookup observations, want 1", got)
+	}
+	if got := s.Stages().Snapshot(obs.StageCompute).Count - computes; got != 0 {
+		t.Errorf("cached sweep recorded %d compute observations, want 0", got)
+	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {

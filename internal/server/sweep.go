@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -263,16 +262,9 @@ func validateSweep(req *SweepRequest) (sweepKernel, *apiError) {
 // sweepCacheKey canonicalizes a validated request into the memo key: two
 // requests that measure the same curve — whatever the order of their params
 // — share one entry. Fields a kernel ignores are normalized out so they
-// cannot split the key space.
-func sweepCacheKey(req *SweepRequest) string {
-	return string(appendSweepCacheKey(nil, req, sortedCopy(req.Params)))
-}
-
-// appendSweepCacheKey appends req's memo key to dst, byte-identical to the
-// fmt.Sprintf it replaced ("sweep/<kernel>/n=0/.../params=[64 128]") but
-// built with strconv appends so the cached hot path never allocates.
-// sortedParams is the caller's already-sorted copy of req.Params.
-func appendSweepCacheKey(dst []byte, req *SweepRequest, sortedParams []int) []byte {
+// cannot split the key space. sortedParams is the caller's sorted copy of
+// req.Params; the key reads e.g. "sweep/<kernel>/n=0/.../params=[64 128]".
+func sweepCacheKey(req *SweepRequest, sortedParams []int) string {
 	kernel := strings.ToLower(req.Kernel)
 	n, dim, size, iters, nnz, seed := req.N, 0, 0, 0, 0, int64(0)
 	switch kernel {
@@ -285,35 +277,14 @@ func appendSweepCacheKey(dst []byte, req *SweepRequest, sortedParams []int) []by
 	case "hierarchy":
 		n = 0
 	}
-	dst = append(dst, "sweep/"...)
-	dst = append(dst, kernel...)
-	dst = append(dst, "/n="...)
-	dst = strconv.AppendInt(dst, int64(n), 10)
-	dst = append(dst, "/dim="...)
-	dst = strconv.AppendInt(dst, int64(dim), 10)
-	dst = append(dst, "/size="...)
-	dst = strconv.AppendInt(dst, int64(size), 10)
-	dst = append(dst, "/iters="...)
-	dst = strconv.AppendInt(dst, int64(iters), 10)
-	dst = append(dst, "/nnz="...)
-	dst = strconv.AppendInt(dst, int64(nnz), 10)
-	dst = append(dst, "/seed="...)
-	dst = strconv.AppendInt(dst, seed, 10)
-	dst = append(dst, "/params=["...)
-	for i, p := range sortedParams {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		dst = strconv.AppendInt(dst, int64(p), 10)
-	}
-	dst = append(dst, ']')
+	key := fmt.Sprintf("sweep/%s/n=%d/dim=%d/size=%d/iters=%d/nnz=%d/seed=%d/params=%v",
+		kernel, n, dim, size, iters, nnz, seed, sortedParams)
 	if kernel == "hierarchy" {
 		// The analytic sweep's whole machine description is key material;
 		// the suffix rides only on this kernel so every other key stays
 		// exactly as before. Levels and computation are JSON-encoded, not
 		// %v-joined: client-controlled level names could otherwise forge a
-		// colliding key and read another machine's cached points. (This
-		// branch allocates; the gated hot benchmarks sweep flat kernels.)
+		// colliding key and read another machine's cached points.
 		level := req.Level
 		if level == 0 {
 			level = 1
@@ -325,10 +296,10 @@ func appendSweepCacheKey(dst []byte, req *SweepRequest, sortedParams []int) []by
 		}
 		lv, _ := json.Marshal(req.Levels)
 		cp, _ := json.Marshal(comp)
-		dst = fmt.Appendf(dst, "/c=%v/vary=%s/level=%d/levels=%s/comp=%s",
+		key += fmt.Sprintf("/c=%v/vary=%s/level=%d/levels=%s/comp=%s",
 			req.C, vary, level, lv, cp)
 	}
-	return dst
+	return key
 }
 
 // maxSweepCacheEntries bounds the sweep memo so a long-lived daemon
@@ -348,26 +319,22 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*SweepRespons
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	sc := getSweepScratch()
-	sc.params = append(sc.params[:0], req.Params...)
-	sort.Ints(sc.params)
-	sc.key = appendSweepCacheKey(sc.key[:0], req, sc.params)
+	params := sortedCopy(req.Params)
+	key := sweepCacheKey(req, params)
 
-	// The memoized case first: a plain map probe on the key bytes, no
-	// canonical copy, no flight context, no single-flight bookkeeping.
+	// The memoized case first: a plain map probe, no canonical copy, no
+	// flight context, no single-flight bookkeeping.
 	tr := obs.TraceFrom(ctx)
 	t0 := time.Now()
-	if pts, ok := s.sweeps.Lookup(sc.key); ok {
+	if pts, ok := s.sweeps.Lookup(key); ok {
 		s.metrics.CacheHit()
 		s.obsStage(tr, obs.StageCacheLookup, t0)
-		resp := shapeSweepResponse(req, sc.params, pts, true)
-		putSweepScratch(sc)
-		return resp, nil
+		return shapeSweepResponse(req, params, pts, true), nil
 	}
 	s.obsStage(tr, obs.StageCacheLookup, t0)
 
 	canonical := *req
-	canonical.Params = sc.params
+	canonical.Params = params
 	// The flight is detached from the initiating request's cancellation:
 	// a joiner must not fail because the first caller disconnected. The
 	// server's own request budget bounds it instead, and the parallelism
@@ -382,7 +349,7 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*SweepRespons
 		s.sweeps.Reset()
 	}
 	t0 = time.Now()
-	pts, err, hit := s.sweeps.Do(string(sc.key), func() ([]kernels.RatioPoint, error) {
+	pts, err, hit := s.sweeps.Do(key, func() ([]kernels.RatioPoint, error) {
 		return k.run(fctx, &canonical)
 	})
 	// The flight duration is a trace span only: the per-point kernel
@@ -395,34 +362,30 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*SweepRespons
 		s.metrics.CacheMiss()
 	}
 	if err != nil {
-		putSweepScratch(sc)
 		return nil, asSweepError(err)
 	}
-	resp := shapeSweepResponse(req, sc.params, pts, hit)
-	putSweepScratch(sc) // after shaping: canonical.Params aliases sc.params
-	return resp, nil
+	return shapeSweepResponse(req, params, pts, hit), nil
 }
 
-// shapeSweepResponse builds the (pooled) response: pts[i] measures
-// sortedParams[i], and the answer comes back in the request's own param
-// order via binary search — duplicate params land on the same measured
-// point, as the map rebuild it replaced did.
+// shapeSweepResponse builds the response: pts[i] measures sortedParams[i],
+// and the answer comes back in the request's own param order via binary
+// search — duplicate params land on the same measured point.
 func shapeSweepResponse(req *SweepRequest, sortedParams []int, pts []kernels.RatioPoint, cached bool) *SweepResponse {
-	resp := getSweepResponse()
-	resp.Kernel = strings.ToLower(req.Kernel)
-	resp.Cached = cached
-	points := resp.Points[:0]
-	for _, param := range req.Params {
+	resp := &SweepResponse{
+		Kernel: strings.ToLower(req.Kernel),
+		Cached: cached,
+		Points: make([]SweepPointDTO, len(req.Params)),
+	}
+	for i, param := range req.Params {
 		p := pts[sort.SearchInts(sortedParams, param)]
-		points = append(points, SweepPointDTO{
+		resp.Points[i] = SweepPointDTO{
 			Memory: p.Memory,
 			Ops:    p.Totals.Ops,
 			Reads:  p.Totals.Reads,
 			Writes: p.Totals.Writes,
 			Ratio:  p.Ratio(),
-		})
+		}
 	}
-	resp.Points = points
 	return resp
 }
 
