@@ -63,7 +63,11 @@ type Job struct {
 	// Kind names the operation ("sweep", "batch", "analyze", …); the
 	// executor switches on it.
 	Kind string `json:"kind"`
-	// Request is the canonical request body journaled at submit.
+	// Request is the canonical request body journaled at submit. A Done
+	// job releases it, since executing was its only use and a done job
+	// never runs again; WAL compaction then journals it without one.
+	// Failed and canceled jobs keep theirs, because a resubmit re-runs
+	// that request.
 	Request json.RawMessage `json:"request"`
 	// Key is the full content address: results live under it in the store.
 	Key string `json:"key"`
@@ -406,9 +410,8 @@ func (q *Queue) SubmitFor(tenant, kind string, canonicalReq []byte, cost int64, 
 
 	now := q.clock()
 	j := &Job{
-		ID: id, Kind: kind, Request: append([]byte(nil), canonicalReq...),
-		Key: key, Cost: cost, Tenant: tenant, Priority: prio,
-		State: Queued, SubmittedAt: now,
+		ID: id, Kind: kind, Key: key, Cost: cost, Tenant: tenant,
+		Priority: prio, State: Queued, SubmittedAt: now,
 	}
 	if q.st.Has(key) {
 		// The content-addressed dedup across restarts: the result of an
@@ -436,6 +439,7 @@ func (q *Queue) SubmitFor(tenant, kind string, canonicalReq []byte, cost int64, 
 		Prio: string(prio), T: now}); err != nil {
 		return Job{}, false, err
 	}
+	j.Request = append([]byte(nil), canonicalReq...)
 	q.addLocked(j)
 	q.memInUse += cost
 	q.memByTenant[tenant] += cost
@@ -562,7 +566,10 @@ func (q *Queue) worker() {
 		}
 		j := q.jobs[id]
 		now := q.clock()
-		if err := q.appendWAL(walRecord{Op: "start", ID: id, T: now}); err != nil {
+		// The start record is not synced (see the wal.go header), but a
+		// failed write still pauses the queue rather than running jobs
+		// the journal cannot follow.
+		if err := q.writeWAL(false, []walRecord{{Op: "start", ID: id, T: now}}); err != nil {
 			// The journal is the source of truth; without it the start
 			// cannot be recorded, so the job goes back to the *front* of
 			// its lane at its original sequence number — a WAL hiccup
@@ -627,8 +634,8 @@ func (q *Queue) runOne(ctx context.Context, cancel context.CancelFunc, id, kind 
 	runDur := time.Since(t0)
 	var putErr error
 	if err == nil && !cached {
-		// Store the result before taking the queue lock: a put is two
-		// fsyncs, and no submit, poll or page should wait behind them.
+		// Store the result before taking the queue lock: a put is an
+		// fsync, and no submit, poll or page should wait behind it.
 		putErr = q.st.Put(key, result)
 	}
 
@@ -669,9 +676,10 @@ func (q *Queue) runOne(ctx context.Context, cancel context.CancelFunc, id, kind 
 }
 
 // finishLocked moves j to a terminal state, releases its budget (global
-// and per-tenant), folds the job's bytes-retired/sec into the drain
-// EWMA, and notifies. The broadcast is load-bearing: a finished job
-// changes what fits, so every waiting worker must re-evaluate its pick.
+// and per-tenant) and, when it is Done, its request, folds the job's
+// bytes-retired/sec into the drain EWMA, and notifies. The broadcast is
+// load-bearing: a finished job changes what fits, so every waiting
+// worker must re-evaluate its pick.
 func (q *Queue) finishLocked(j *Job, s State, now time.Time, errMsg string) {
 	if !j.StartedAt.IsZero() && j.Cost > 0 {
 		if dur := now.Sub(j.StartedAt).Seconds(); dur > 0 {
@@ -688,6 +696,9 @@ func (q *Queue) finishLocked(j *Job, s State, now time.Time, errMsg string) {
 	j.Error = errMsg
 	j.FinishedAt = now
 	j.cancel = nil
+	if s == Done {
+		j.Request = nil
+	}
 	q.memInUse -= j.Cost
 	q.memByTenant[j.Tenant] -= j.Cost
 	q.notifyLocked(j)

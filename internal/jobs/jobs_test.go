@@ -375,14 +375,26 @@ func TestResubmitAfterFailure(t *testing.T) {
 	if failed.Error == "" {
 		t.Error("failed job has no error message")
 	}
+	// A failed job keeps its request for the resubmit to re-run; a done
+	// one releases it, in memory and after a replay.
+	if string(failed.Request) != `1` {
+		t.Errorf("failed job's request = %q, want it kept", failed.Request)
+	}
 	h.fail.Store(false)
 	again, existing, err := h.q.Submit("a", []byte(`1`), 10)
 	if err != nil || existing || again.ID != j.ID || again.State != Queued {
 		t.Fatalf("resubmit after failure = %+v existing=%v err=%v", again, existing, err)
 	}
-	waitState(t, h.q, j.ID, Done)
+	if done := waitState(t, h.q, j.ID, Done); done.Request != nil {
+		t.Errorf("done job kept its request %q", done.Request)
+	}
 	if h.execs.Load() != 2 {
 		t.Errorf("executor ran %d times, want 2", h.execs.Load())
+	}
+	h.close(t)
+	h.open(t, Options{Workers: 1})
+	if replayed, err := h.q.Get(j.ID); err != nil || replayed.State != Done || replayed.Request != nil {
+		t.Errorf("replayed done job = %+v, %v; want done with no request", replayed, err)
 	}
 }
 

@@ -9,8 +9,12 @@ import (
 	"time"
 )
 
-// The WAL is JSON-lines, one record per line, appended and fsynced at
-// every state transition. Record shapes (fields omitted when empty):
+// The WAL is JSON-lines, one record per line, appended at every state
+// transition and fsynced at each one but start: a lost start record
+// replays the job as queued, and replay requeues queued and running jobs
+// alike, so syncing it would change nothing a replay produces (the next
+// synced append flushes it anyway). Record shapes (fields omitted when
+// empty):
 //
 //	{"op":"submit","id":"j…","kind":"sweep","req":{…},"cost":65536,"key":"<sha256>","t":"…"}
 //	{"op":"start","id":"j…","t":"…"}
@@ -50,16 +54,21 @@ type walRecord struct {
 }
 
 // appendWAL journals records with one write and one sync (callers hold
-// q.mu). The sync is what makes Submit's ack a durability promise. A
-// failed write (ENOSPC mid-record, say) is clipped back to the
-// pre-append offset — tracked in q.walSize, so the hot ack path pays no
-// stat syscall — so a partial record cannot sit mid-file and merge with
-// a later append into garbage that replay would treat as the torn tail,
-// silently discarding every acked record after it.
+// q.mu). The sync is what makes Submit's ack a durability promise.
 func (q *Queue) appendWAL(recs ...walRecord) error {
+	return q.writeWAL(true, recs)
+}
+
+// writeWAL journals records with one write, synced when sync is set
+// (callers hold q.mu). A failed write (ENOSPC mid-record, say) is clipped
+// back to the pre-append offset — tracked in q.walSize, so the hot ack
+// path pays no stat syscall — so a partial record cannot sit mid-file and
+// merge with a later append into garbage that replay would treat as the
+// torn tail, silently discarding every acked record after it.
+func (q *Queue) writeWAL(sync bool, recs []walRecord) error {
 	if q.opts.Observe != nil {
-		// One "wal_append" sample per append, sync included — the disk's
-		// contribution to every ack, state transition and GC sweep.
+		// One "wal_append" sample per append, any sync included — the
+		// disk's contribution to every ack, state transition and GC sweep.
 		t0 := time.Now()
 		defer func() { q.opts.Observe("wal_append", time.Since(t0)) }()
 	}
@@ -82,6 +91,9 @@ func (q *Queue) appendWAL(recs ...walRecord) error {
 	}
 	q.walSize += int64(len(line))
 	q.walBytes += int64(len(line)) // journal fill rate, for self-analysis
+	if !sync {
+		return nil
+	}
 	if err := q.wal.Sync(); err != nil {
 		// The record is whole in the page cache; leave it — replay
 		// parses it fine whether or not it reached the platter.
@@ -155,6 +167,7 @@ func replayWAL(data []byte) map[string]*Job {
 		case "done":
 			if j, ok := jobs[rec.ID]; ok && !j.State.Terminal() {
 				j.State = Done
+				j.Request = nil
 				j.Cached = rec.Cached
 				j.FinishedAt = rec.T
 			}

@@ -157,7 +157,7 @@ func (s *Server) appendProm(e *obs.PromEnc) {
 	// contract is per-series, so absent subsystems simply expose nothing.
 	if s.store != nil {
 		st := s.store.Stats()
-		e.Header("balarch_store_hits_total", "Store gets answered from an object file.", "counter")
+		e.Header("balarch_store_hits_total", "Store gets answered from the pack file.", "counter")
 		e.Begin("balarch_store_hits_total")
 		e.Int(st.Hits)
 		e.Header("balarch_store_misses_total", "Store gets for absent keys.", "counter")

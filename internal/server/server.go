@@ -254,7 +254,7 @@ func (s *Server) JobsErr() error { return s.jobsErr }
 
 // Close drains the async subsystem: running jobs get until ctx to
 // finish (then they are cut, to be requeued by the next open), queued
-// jobs stay journaled, and the store's index log closes cleanly. A
+// jobs stay journaled, and the store's pack file closes cleanly. A
 // jobs-disabled server's Close is a no-op.
 func (s *Server) Close(ctx context.Context) error {
 	// End every SSE stream first (terminal "dropped" event, reason

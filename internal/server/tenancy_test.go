@@ -184,7 +184,9 @@ func TestTenantRateLimit(t *testing.T) {
 }
 
 func TestTenantJobBudgetPartition(t *testing.T) {
-	srv := newJobsServer(t, Options{Tenants: &TenantsConfig{Tenants: []TenantSpec{
+	// Paused workers keep the roomy job live, so the anonymous submit
+	// joins it (202) instead of finding it done (200).
+	srv := newJobsServer(t, Options{JobWorkers: -1, Tenants: &TenantsConfig{Tenants: []TenantSpec{
 		// Budget below one sweep's cost: every submit is refused.
 		{Name: "tiny", Key: "tiny-key", JobBudgetBytes: 1024},
 		{Name: "roomy", Key: "roomy-key"},

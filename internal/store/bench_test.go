@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkStoreGet measures the path the server's result fetches ride:
-// a Get that reads the object file, served by the OS page cache once the
-// file is warm. Tracked by cmd/benchgate in CI.
+// a Get that reads its record from the pack, served by the OS page cache
+// once the file is warm. Tracked by cmd/benchgate in CI.
 func BenchmarkStoreGet(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{})
 	if err != nil {
@@ -27,8 +27,8 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePut measures the durable write path (temp file + fsync +
-// rename + synced index append) for distinct small blobs.
+// BenchmarkStorePut measures the durable write path — one record append
+// to the pack and one fsync — for distinct small blobs.
 func BenchmarkStorePut(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{})
 	if err != nil {

@@ -9,25 +9,38 @@
 //
 // Layout on disk:
 //
-//	<dir>/index.log            append-only index, replayed on Open
-//	<dir>/objects/<aa>/<key>   one file per blob, fanned out on the first
-//	                           key byte; written temp-file + rename so a
-//	                           crash never leaves a partial blob visible
+//	<dir>/pack   append-only pack file, one record per blob, replayed on Open
 //
-// The index log is plain text, one record per line ("put <key> <size>" /
-// "del <key>"). Replay tolerates a truncated tail — the file is clipped
-// back to the last whole record instead of failing Open — because a crash
-// mid-append is exactly the case the log exists for. There is no in-memory
-// copy of the blobs: Get reads the object file, and the OS page cache keeps
-// hot objects in memory, so the process heap holds only the index.
-// Stats() exposes hits/misses/bytes/entries for /metrics.
+// A record is a header line followed by the blob and a newline:
+//
+//	put <key> <size> <crc32c>\n<size bytes>\n
+//
+// with the size in decimal and the blob's CRC-32C (Castagnoli) as eight
+// lowercase hex digits. Put appends one record with one write and one
+// fsync, and the synced record is the commit point: no file is created or
+// renamed per blob, so durability rests on a single fsync of a single
+// file. Replay checks each record's header, length, CRC and trailing
+// newline, and clips a torn or garbage tail back to the last whole record
+// instead of failing Open, because a crash mid-append is exactly the case
+// the checks exist for. The process heap holds only the index (key →
+// offset and size in the pack): Get reads the blob with ReadAt, and the OS
+// page cache keeps hot records in memory. Stats() exposes
+// hits/misses/bytes/entries for /metrics.
+//
+// A directory in the earlier layout (an index.log beside one
+// objects/<aa>/<key> file per blob) is imported into the pack by the first
+// Open; see importObjects.
 package store
 
 import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -55,7 +68,7 @@ type Options struct {
 // Stats is a point-in-time snapshot of the store's counters, served under
 // the store_* keys of /metrics.
 type Stats struct {
-	// Hits counts Gets answered from an object file.
+	// Hits counts Gets answered from the pack.
 	Hits int64 `json:"hits"`
 	// Misses counts Gets for keys the store does not hold.
 	Misses int64 `json:"misses"`
@@ -65,23 +78,38 @@ type Stats struct {
 	Entries int64 `json:"entries"`
 }
 
+// castagnoli is the CRC-32C table the record checksums use.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// maxHeaderLen bounds a header line: "put ", a 64-digit key, a space, at
+// most 19 size digits, a space, 8 CRC digits and the newline.
+const maxHeaderLen = 4 + 64 + 1 + 19 + 1 + 8 + 1
+
+// extent locates one blob in the pack: off is its first byte.
+type extent struct{ off, size int64 }
+
 // Store is a content-addressed blob store rooted at one directory. All
 // methods are safe for concurrent use. Open one per directory — two Stores
-// on the same directory would race on the index log.
+// on the same directory would interleave their appends.
 type Store struct {
 	dir string
 
 	observe func(op string, d time.Duration)
 
-	// logMu serializes the index log's writers (Put, Delete, and a Get
-	// dropping a vanished blob) and is held across the log's fsync. mu
+	// logMu serializes appends to the pack and is held across its fsync;
+	// end, the offset just past the last record, is guarded by it. mu
 	// guards the in-memory index and is never held across disk I/O, so
 	// Has, Get and Stats never wait on a sync. Lock order: logMu, then mu.
-	logMu   sync.Mutex
-	logFile *os.File
+	logMu sync.Mutex
+	pack  *os.File // append-only handle
+	end   int64
+
+	// reader is a read-only handle on the pack, shared by every Get:
+	// ReadAt takes no lock and leaves no file offset to race on.
+	reader *os.File
 
 	mu     sync.Mutex
-	index  map[string]int64 // key → blob size
+	index  map[string]extent
 	bytes  int64
 	closed bool
 
@@ -89,113 +117,131 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir, replaying the
-// index log. A truncated final record — the signature of a crash mid-append
-// — is clipped, not an error.
+// pack. A torn or garbage tail — the signature of a crash mid-append — is
+// clipped, not an error. On an empty directory Open issues no fsync.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
 		dir:     dir,
 		observe: opts.Observe,
-		index:   make(map[string]int64),
+		index:   make(map[string]extent),
 	}
-	if err := s.replayIndex(); err != nil {
+	end, err := s.replay()
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(s.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening index log: %w", err)
+	s.end = end
+	if s.pack, err = os.OpenFile(s.packPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, fmt.Errorf("store: opening pack: %w", err)
 	}
-	s.logFile = f
+	if s.reader, err = os.Open(s.packPath()); err != nil {
+		s.pack.Close()
+		return nil, fmt.Errorf("store: opening pack: %w", err)
+	}
+	if err := s.importObjects(); err != nil {
+		s.Close()
+		return nil, err
+	}
 	return s, nil
 }
 
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.log") }
+func (s *Store) packPath() string { return filepath.Join(s.dir, "pack") }
 
-// objectPath fans blobs out on the first key byte so one directory never
-// holds every object.
-func (s *Store) objectPath(key string) string {
-	return filepath.Join(s.dir, "objects", key[:2], key)
-}
-
-// replayIndex rebuilds the in-memory index from the log. Any malformed
-// line — a torn write at the tail — ends the replay and the file is
-// truncated back to the last whole record so subsequent appends start from
-// a clean boundary.
-func (s *Store) replayIndex() error {
-	f, err := os.Open(s.indexPath())
+// replay rebuilds the index from the pack and returns the offset just past
+// its last whole record. A record that fails any check ends the replay,
+// and the file is truncated back to the last whole record so later
+// appends start from a clean boundary. Called from Open only.
+func (s *Store) replay() (int64, error) {
+	f, err := os.Open(s.packPath())
 	if os.IsNotExist(err) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: opening index log: %w", err)
+		return 0, fmt.Errorf("store: opening pack: %w", err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("store: stat pack: %w", err)
+	}
+	size := info.Size()
 
-	var good int64 // byte offset of the end of the last valid record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		rec, ok := parseIndexRecord(line)
+	// torn reports whether a read error is the tail running out (or a
+	// header line that never ends) rather than the disk failing; only the
+	// former may be clipped.
+	torn := func(err error) bool {
+		return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, bufio.ErrBufferFull)
+	}
+	var good int64 // offset just past the last valid record
+	br := bufio.NewReader(f)
+	sum := crc32.New(castagnoli)
+	for good < size {
+		line, err := br.ReadSlice('\n')
+		if err != nil {
+			if torn(err) {
+				break
+			}
+			return 0, fmt.Errorf("store: reading pack: %w", err)
+		}
+		key, n, crc, ok := parseHeader(line)
 		if !ok {
 			break
 		}
-		good += int64(len(line)) + 1
-		switch rec.op {
-		case "put":
-			if old, dup := s.index[rec.key]; dup {
-				s.bytes -= old
+		hdr := int64(len(line))
+		sum.Reset()
+		if _, err := io.CopyN(sum, br, n); err != nil {
+			if torn(err) {
+				break
 			}
-			s.index[rec.key] = rec.size
-			s.bytes += rec.size
-		case "del":
-			if old, dup := s.index[rec.key]; dup {
-				s.bytes -= old
-				delete(s.index, rec.key)
+			return 0, fmt.Errorf("store: reading pack: %w", err)
+		}
+		if sum.Sum32() != crc {
+			break
+		}
+		if c, err := br.ReadByte(); err != nil || c != '\n' {
+			if err != nil && !torn(err) {
+				return 0, fmt.Errorf("store: reading pack: %w", err)
 			}
+			break
+		}
+		s.add(key, extent{off: good + hdr, size: n})
+		good += hdr + n + 1
+	}
+	if good < size {
+		if err := os.Truncate(s.packPath(), good); err != nil {
+			return 0, fmt.Errorf("store: clipping torn pack tail: %w", err)
 		}
 	}
-	// Scanner errors (an over-long garbage line, say) are treated like a
-	// torn tail: recover what replayed cleanly.
-	info, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat index log: %w", err)
-	}
-	if good < info.Size() {
-		if err := os.Truncate(s.indexPath(), good); err != nil {
-			return fmt.Errorf("store: clipping torn index tail: %w", err)
-		}
-	}
-	return nil
+	return good, nil
 }
 
-type indexRecord struct {
-	op   string
-	key  string
-	size int64
+// header renders a record's header line.
+func header(key string, size int64, crc uint32) string {
+	return fmt.Sprintf("put %s %d %08x\n", key, size, crc)
 }
 
-// parseIndexRecord validates one log line. Anything that does not parse —
-// wrong field count, non-hex key, bad size — is a torn or corrupt record.
-func parseIndexRecord(line string) (indexRecord, bool) {
-	fields := strings.Fields(line)
-	switch {
-	case len(fields) == 3 && fields[0] == "put":
-		size, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || size < 0 || !validKey(fields[1]) {
-			return indexRecord{}, false
-		}
-		return indexRecord{op: "put", key: fields[1], size: size}, true
-	case len(fields) == 2 && fields[0] == "del":
-		if !validKey(fields[1]) {
-			return indexRecord{}, false
-		}
-		return indexRecord{op: "del", key: fields[1]}, true
-	default:
-		return indexRecord{}, false
+// parseHeader validates one header line, newline included. Only the
+// canonical spelling header writes is a record: a torn line, a non-hex
+// key, a signed or zero-padded size, or an upper-case CRC is garbage.
+func parseHeader(line []byte) (key string, size int64, crc uint32, ok bool) {
+	if len(line) > maxHeaderLen {
+		return "", 0, 0, false
 	}
+	f := strings.Split(strings.TrimSuffix(string(line), "\n"), " ")
+	if len(f) != 4 || f[0] != "put" || !validKey(f[1]) {
+		return "", 0, 0, false
+	}
+	size, err := strconv.ParseInt(f[2], 10, 64)
+	if err != nil || size < 0 {
+		return "", 0, 0, false
+	}
+	crc64, err := strconv.ParseUint(f[3], 16, 32)
+	if err != nil || header(f[1], size, uint32(crc64)) != string(line) {
+		return "", 0, 0, false
+	}
+	return f[1], size, uint32(crc64), true
 }
 
 // validKey reports whether key is a lowercase-hex SHA-256.
@@ -213,12 +259,10 @@ func validKey(key string) bool {
 }
 
 // Put stores data under key. Storing an existing key is a no-op (the store
-// is content-addressed: same key, same bytes). The blob is written to a
-// temp file, fsynced, and renamed into place before the index record is
-// appended, so a crash at any point leaves either no trace or a complete,
-// indexed blob. The blob write and its fsync take no lock, and the index
-// append holds only logMu, so a slow disk never queues a reader behind
-// one put.
+// is content-addressed: same key, same bytes). The record is appended with
+// one write and synced with one fsync under logMu, then indexed, so a
+// crash at any point leaves either no trace, a torn tail that replay
+// clips, or a complete record. Readers never wait on the sync.
 func (s *Store) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
@@ -232,91 +276,74 @@ func (s *Store) Put(key string, data []byte) error {
 	} else if present {
 		return nil
 	}
-	if err := s.writeObject(key, data); err != nil {
-		return err
-	}
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	if _, present, closed := s.lookup(key); closed {
 		return fmt.Errorf("store: closed")
 	} else if present {
-		// A concurrent Put of the same key indexed it first; its rename
-		// and ours published the same bytes.
+		// A concurrent Put of the same key committed it first.
 		return nil
 	}
-	if err := s.appendIndex(fmt.Sprintf("put %s %d\n", key, len(data))); err != nil {
+	ext, err := s.appendRecord(key, data)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.index[key] = int64(len(data))
-	s.bytes += int64(len(data))
-	s.mu.Unlock()
+	if err := s.pack.Sync(); err != nil {
+		// The record is whole in the page cache; leave it — replay
+		// indexes it if it reached the disk, and a retried Put appends a
+		// twin that replay skips.
+		return fmt.Errorf("store: syncing pack: %w", err)
+	}
+	s.add(key, ext)
 	return nil
+}
+
+// appendRecord writes key's record at the end of the pack and returns the
+// blob's extent (callers hold logMu, or own the store, as Open does). A
+// failed write — ENOSPC mid-record, say — is clipped back to the old end,
+// so a partial record cannot sit mid-file and hide every later record from
+// replay.
+func (s *Store) appendRecord(key string, data []byte) (extent, error) {
+	hdr := header(key, int64(len(data)), crc32.Checksum(data, castagnoli))
+	rec := make([]byte, 0, len(hdr)+len(data)+1)
+	rec = append(append(append(rec, hdr...), data...), '\n')
+	if _, err := s.pack.Write(rec); err != nil {
+		_ = s.pack.Truncate(s.end) // best-effort clip of the partial record
+		return extent{}, fmt.Errorf("store: appending %s: %w", key, err)
+	}
+	ext := extent{off: s.end + int64(len(hdr)), size: int64(len(data))}
+	s.end += int64(len(rec))
+	return ext, nil
+}
+
+// add indexes key at ext unless it is already indexed.
+func (s *Store) add(key string, ext extent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.index[key]; dup {
+		return
+	}
+	s.index[key] = ext
+	s.bytes += ext.size
 }
 
 // lookup reads key's index entry and whether the store is closed.
-func (s *Store) lookup(key string) (size int64, present, closed bool) {
+func (s *Store) lookup(key string) (ext extent, present, closed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size, present = s.index[key]
-	return size, present, s.closed
+	ext, present = s.index[key]
+	return ext, present, s.closed
 }
 
-// writeObject publishes data as key's object file: temp file, fsync,
-// rename. Callers hold no lock.
-func (s *Store) writeObject(key string, data []byte) error {
-	path := s.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing blob %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing blob %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: publishing blob %s: %w", key, err)
-	}
-	return nil
-}
-
-// appendIndex writes one record and syncs (callers hold logMu): the
-// record is the commit point.
-func (s *Store) appendIndex(record string) error {
-	if _, err := s.logFile.WriteString(record); err != nil {
-		return fmt.Errorf("store: appending index record: %w", err)
-	}
-	if err := s.logFile.Sync(); err != nil {
-		return fmt.Errorf("store: syncing index log: %w", err)
-	}
-	return nil
-}
-
-// Get returns the blob for key, read from its object file with no lock
-// held. ok is false — a counted miss — when the store does not hold the
-// key. A key whose blob file has vanished from under the index (manual
-// deletion, a torn restore) is dropped from the index and reported as a
-// miss rather than an error: the store's promise is "what I return is
-// what was put", not "what was put is forever". The returned slice is
-// the caller's to keep.
+// Get returns the blob for key, read from the pack with no lock held. ok
+// is false — a counted miss — when the store does not hold the key. The
+// returned slice is the caller's to keep.
 func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 	if s.observe != nil {
 		t0 := time.Now()
 		defer func() { s.observe("get", time.Since(t0)) }()
 	}
-	_, present, closed := s.lookup(key)
+	ext, present, closed := s.lookup(key)
 	switch {
 	case closed:
 		return nil, false, fmt.Errorf("store: closed")
@@ -324,39 +351,12 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 		s.misses.Add(1)
 		return nil, false, nil
 	}
-	data, rerr := os.ReadFile(s.objectPath(key))
-	if rerr == nil {
-		s.hits.Add(1)
-		return data, true, nil
+	data = make([]byte, ext.size)
+	if _, err := s.reader.ReadAt(data, ext.off); err != nil {
+		return nil, false, fmt.Errorf("store: reading blob %s: %w", key, err)
 	}
-	if !os.IsNotExist(rerr) {
-		return nil, false, fmt.Errorf("store: reading blob %s: %w", key, rerr)
-	}
-	s.misses.Add(1)
-	s.dropVanished(key)
-	return nil, false, nil
-}
-
-// dropVanished forgets key after Get found its object file missing —
-// unless a concurrent writer has moved on since the read (deleted it, or
-// deleted and put it again), which the re-check under logMu rules out.
-func (s *Store) dropVanished(key string) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	size, present, closed := s.lookup(key)
-	if !present || closed {
-		return
-	}
-	if _, err := os.Stat(s.objectPath(key)); !os.IsNotExist(err) {
-		return
-	}
-	// The entry goes even if its del record cannot be journaled: a replay
-	// that restores it just finds the file missing again.
-	_ = s.appendIndex(fmt.Sprintf("del %s\n", key))
-	s.mu.Lock()
-	s.bytes -= size
-	delete(s.index, key)
-	s.mu.Unlock()
+	s.hits.Add(1)
+	return data, true, nil
 }
 
 // Has reports whether the store holds key, without reading the blob and
@@ -367,29 +367,61 @@ func (s *Store) Has(key string) bool {
 	return present
 }
 
-// Delete removes key's blob and index entry. Deleting an absent key is a
-// no-op.
-func (s *Store) Delete(key string) error {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	size, present, closed := s.lookup(key)
-	if closed {
-		return fmt.Errorf("store: closed")
-	}
-	if !present {
+// importObjects moves a store written in the earlier layout — one
+// objects/<aa>/<key> file per blob beside an index.log — into the pack.
+// Every object file is complete, because it was renamed into place only
+// after its fsync, so each is appended as it stands, and the index.log
+// adds nothing the files do not show. Keys the pack already holds are
+// skipped, so an import a crash interrupted is redone by the next Open.
+// The pack and its directory entry are synced before the old files go.
+// Called from Open only; a directory without objects/ costs one stat.
+func (s *Store) importObjects() error {
+	objects := filepath.Join(s.dir, "objects")
+	if _, err := os.Stat(objects); os.IsNotExist(err) {
 		return nil
 	}
-	if err := os.Remove(s.objectPath(key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: deleting blob %s: %w", key, err)
+	err := filepath.WalkDir(objects, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !validKey(d.Name()) || s.Has(d.Name()) {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		ext, err := s.appendRecord(d.Name(), data)
+		if err == nil {
+			s.add(d.Name(), ext)
+		}
+		return err
+	})
+	if err == nil {
+		err = s.pack.Sync()
 	}
-	if err := s.appendIndex(fmt.Sprintf("del %s\n", key)); err != nil {
+	if err == nil {
+		err = syncDir(s.dir)
+	}
+	if err != nil {
+		return fmt.Errorf("store: importing objects/: %w", err)
+	}
+	// index.log and stray temp files go first and objects/ last, so a
+	// crash part-way leaves objects/ for the next Open to finish the job.
+	old, _ := filepath.Glob(filepath.Join(s.dir, "tmp-*"))
+	for _, p := range append(old, filepath.Join(s.dir, "index.log"), objects) {
+		if err := os.RemoveAll(p); err != nil {
+			return fmt.Errorf("store: removing imported %s: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// syncDir makes the entries of dir durable (a new file's name included).
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.bytes -= size
-	delete(s.index, key)
-	s.mu.Unlock()
-	return nil
+	defer d.Close()
+	return d.Sync()
 }
 
 // Stats snapshots the counters.
@@ -404,14 +436,7 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Len returns the number of indexed blobs.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
-// Close releases the index log. Further method calls error.
+// Close releases the pack. Further method calls error.
 func (s *Store) Close() error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
@@ -422,5 +447,5 @@ func (s *Store) Close() error {
 	if wasClosed {
 		return nil
 	}
-	return s.logFile.Close()
+	return errors.Join(s.pack.Close(), s.reader.Close())
 }

@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -77,9 +79,6 @@ func TestReopenReplaysIndex(t *testing.T) {
 		}
 		keys = append(keys, key)
 	}
-	if err := s.Delete(keys[3]); err != nil {
-		t.Fatal(err)
-	}
 	before := s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -95,102 +94,148 @@ func TestReopenReplaysIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 3 {
-			if ok {
-				t.Error("deleted key survived reopen")
-			}
-			continue
-		}
 		if !ok || string(data) != fmt.Sprintf("blob-%d", i) {
 			t.Errorf("key %d after reopen: %q, %v", i, data, ok)
 		}
 	}
 }
 
-// TestTruncatedIndexTailRecovers crashes the log mid-append: the replay
-// must keep every whole record, clip the torn tail, and keep appending.
-func TestTruncatedIndexTailRecovers(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+// TestPackTornTailRecovers damages the pack's tail in each way a crash
+// mid-append or a foreign write can: the replay must keep every whole
+// record, clip the file back to the end of the last one, and keep
+// appending from there.
+func TestPackTornTailRecovers(t *testing.T) {
 	a, b := []byte("first"), []byte("second")
-	if err := s.Put(Key(a), a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(Key(b), b); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	for _, tc := range []struct {
+		name string
+		// damage rewrites the pack, whose last record (b's) starts at
+		// offset last.
+		damage func(raw []byte, last int) []byte
+		keep   int // records that survive
+	}{
+		{"header cut", func(raw []byte, last int) []byte { return raw[:last+10] }, 1},
+		{"data cut", func(raw []byte, _ int) []byte { return raw[:len(raw)-3] }, 1},
+		{"crc mismatch", func(raw []byte, _ int) []byte { raw[len(raw)-2] ^= 1; return raw }, 1},
+		{"missing trailing newline", func(raw []byte, _ int) []byte { raw[len(raw)-1] = 'x'; return raw }, 1},
+		{"garbage after last record", func(raw []byte, _ int) []byte {
+			return append(raw, "not a record\x00\xff\xfe garbage"...)
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, Options{})
+			if err := s.Put(Key(a), a); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "pack")
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := int(info.Size())
+			if err := s.Put(Key(b), b); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := map[int]int64{1: int64(last), 2: int64(len(raw))}[tc.keep]
+			if err := os.WriteFile(path, tc.damage(raw, last), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Tear the last record: drop its final byte.
-	path := filepath.Join(dir, "index.log")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r := mustOpen(t, dir, Options{})
-	if st := r.Stats(); st.Entries != 1 || st.Bytes != int64(len(a)) {
-		t.Fatalf("torn-tail replay stats = %+v, want only the first record", st)
-	}
-	if _, ok, _ := r.Get(Key(a)); !ok {
-		t.Error("first blob lost to the torn tail")
-	}
-	// The store keeps working after the clip: re-put the lost blob.
-	if err := r.Put(Key(b), b); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := r.Get(Key(b)); !ok {
-		t.Error("re-put after clip not visible")
+			r := mustOpen(t, dir, Options{})
+			if st := r.Stats(); st.Entries != int64(tc.keep) {
+				t.Fatalf("replay kept %d records, want %d", st.Entries, tc.keep)
+			}
+			if info, err := os.Stat(path); err != nil || info.Size() != whole {
+				t.Fatalf("pack is %v bytes (%v) after replay, want it clipped to %d", info.Size(), err, whole)
+			}
+			if got, ok, err := r.Get(Key(a)); !ok || err != nil || !bytes.Equal(got, a) {
+				t.Fatalf("first blob after replay: %q, %v, %v", got, ok, err)
+			}
+			// The store keeps appending from the clip: a new put is
+			// visible now and after another reopen.
+			c := []byte("third")
+			if err := r.Put(Key(c), c); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			again := mustOpen(t, dir, Options{})
+			if st := again.Stats(); st.Entries != int64(tc.keep)+1 {
+				t.Fatalf("after a put and a reopen: %d records, want %d", st.Entries, tc.keep+1)
+			}
+			if got, ok, err := again.Get(Key(c)); !ok || err != nil || !bytes.Equal(got, c) {
+				t.Fatalf("put after the clip: %q, %v, %v", got, ok, err)
+			}
+		})
 	}
 }
 
-// TestGarbageIndexRecovers feeds the replayer outright garbage (binary
-// noise, not a torn record): Open must not fail or panic, and the store
-// must work from the last parsable prefix.
-func TestGarbageIndexRecovers(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "index.log"),
-		[]byte("not a record at all\x00\xff\xfe garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("Open on a garbage index: %v", err)
-	}
-	defer s.Close()
-	if st := s.Stats(); st.Entries != 0 {
-		t.Errorf("garbage index produced %d entries", st.Entries)
-	}
-	data := []byte("fresh")
-	if err := s.Put(Key(data), data); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := s.Get(Key(data)); !ok {
-		t.Error("put after garbage recovery not visible")
-	}
-}
+// TestOpenImportsParentLayout upgrades a directory in the earlier layout
+// (index.log plus one objects/<aa>/<key> file per blob) to the pack: every
+// blob reads back byte-identical, now and after a reopen, and the old
+// files are gone. The interrupted case starts from an import a crash cut
+// short — one blob already packed, a torn record after it — which the
+// next Open must finish without duplicating anything.
+func TestOpenImportsParentLayout(t *testing.T) {
+	blobs := [][]byte{[]byte(`{"answer": 42}`), []byte("second\nblob"), {}}
+	for _, interrupted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("interrupted=%v", interrupted), func(t *testing.T) {
+			dir := t.TempDir()
+			var index strings.Builder
+			var total int64
+			for _, data := range blobs {
+				key := Key(data)
+				sub := filepath.Join(dir, "objects", key[:2])
+				if err := os.MkdirAll(sub, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(sub, key), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&index, "put %s %d\n", key, len(data))
+				total += int64(len(data))
+			}
+			for name, data := range map[string]string{"index.log": index.String(), "tmp-123": "partial"} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if interrupted {
+				data := blobs[0]
+				rec := header(Key(data), int64(len(data)), crc32.Checksum(data, castagnoli)) + string(data) + "\n"
+				if err := os.WriteFile(filepath.Join(dir, "pack"), []byte(rec+"put torn"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-// TestMissingBlobBecomesMiss: an indexed key whose object file vanished is
-// a miss (and is dropped), not an error.
-func TestMissingBlobBecomesMiss(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	data := []byte("volatile")
-	key := Key(data)
-	if err := s.Put(key, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "objects", key[:2], key)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Get(key); ok || err != nil {
-		t.Fatalf("vanished blob: ok=%v err=%v, want a plain miss", ok, err)
-	}
-	if st := s.Stats(); st.Entries != 0 || st.Misses != 1 {
-		t.Errorf("stats after vanished blob = %+v", st)
+			s := mustOpen(t, dir, Options{})
+			var packed int
+			for _, data := range blobs {
+				packed += len(header(Key(data), int64(len(data)), 0)) + len(data) + 1
+			}
+			if info, err := os.Stat(filepath.Join(dir, "pack")); err != nil || info.Size() != int64(packed) {
+				t.Errorf("pack after import: %v (%v), want exactly one record per blob, %d bytes", info.Size(), err, packed)
+			}
+			for _, gone := range []string{"index.log", "objects", "tmp-123"} {
+				if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
+					t.Errorf("%s survived the import (stat: %v)", gone, err)
+				}
+			}
+			s.Close()
+			r := mustOpen(t, dir, Options{})
+			if st := r.Stats(); st.Entries != int64(len(blobs)) || st.Bytes != total {
+				t.Errorf("imported stats = %+v, want %d entries, %d bytes", st, len(blobs), total)
+			}
+			for _, data := range blobs {
+				if got, ok, err := r.Get(Key(data)); !ok || err != nil || !bytes.Equal(got, data) {
+					t.Errorf("imported blob %q read back as %q, %v, %v", data, got, ok, err)
+				}
+			}
+		})
 	}
 }
 
@@ -218,7 +263,7 @@ func TestKeyIsSHA256Hex(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersAndReaders runs puts, gets, probes and deletes of
+// TestConcurrentWritersAndReaders runs puts, gets and probes of
 // overlapping keys from several goroutines, then checks the in-memory
 // index against a replay of the log it wrote.
 func TestConcurrentWritersAndReaders(t *testing.T) {
@@ -236,21 +281,16 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				data := blobs[(g*7+i)%len(blobs)]
 				key := Key(data)
-				switch i % 4 {
-				case 0, 1:
+				if i%2 == 0 {
 					if err := s.Put(key, data); err != nil {
 						t.Error(err)
 					}
-				case 2:
-					if got, ok, err := s.Get(key); err != nil || (ok && !bytes.Equal(got, data)) {
-						t.Errorf("Get = %q, %v, %v", got, ok, err)
-					}
-					s.Has(key)
-				case 3:
-					if err := s.Delete(key); err != nil {
-						t.Error(err)
-					}
+					continue
 				}
+				if got, ok, err := s.Get(key); err != nil || (ok && !bytes.Equal(got, data)) {
+					t.Errorf("Get = %q, %v, %v", got, ok, err)
+				}
+				s.Has(key)
 			}
 		}()
 	}
