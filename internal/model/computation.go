@@ -46,7 +46,9 @@ func (c Computation) BalancedIntensity(m float64) float64 { return c.Ratio(m) }
 // the computation's achievable ratio meets or exceeds the machine intensity
 // x = C/IO, i.e. the memory a PE needs to be balanced (not I/O bound) for
 // this computation. It returns ErrNotRebalanceable when the intensity is
-// unreachable for any memory size below maxM.
+// unreachable for any memory size below maxM. The cap itself must be
+// positive and finite; a bad cap is an argument error, never
+// ErrNotRebalanceable.
 //
 // The search assumes Ratio is nondecreasing in m, which holds for every
 // computation in the paper, and uses exponential bracketing followed by
@@ -54,6 +56,9 @@ func (c Computation) BalancedIntensity(m float64) float64 { return c.Ratio(m) }
 func (c Computation) RequiredMemory(x, maxM float64) (float64, error) {
 	if !(x > 0) {
 		return 0, fmt.Errorf("model: intensity %v must be positive", x)
+	}
+	if !(maxM > 0) || math.IsInf(maxM, 1) {
+		return 0, fmt.Errorf("model: memory cap max_memory=%v must be positive and finite", maxM)
 	}
 	lo := c.MinMemory
 	if lo <= 0 {
@@ -125,54 +130,29 @@ type Analysis struct {
 
 // Analyze diagnoses a PE against a computation: compares the machine
 // intensity C/IO with the achievable ratio R(M) and computes the memory that
-// would restore balance. maxM bounds the numeric search.
+// would restore balance. maxM bounds the numeric search. The flat PE is the
+// one-level hierarchy, so the verdict comes from the same boundary test
+// AnalyzeHierarchy applies at every boundary.
 func Analyze(pe PE, c Computation, maxM float64) (Analysis, error) {
 	if err := pe.Validate(); err != nil {
 		return Analysis{}, err
 	}
-	a := Analysis{
-		Computation:     c.Name,
-		PE:              pe,
-		Intensity:       pe.Intensity(),
-		AchievableRatio: c.Ratio(pe.M),
-	}
-	// With memory M the computation sustains R(M) ops per word of I/O, so
-	// compute time : I/O time = intensity : R(M).
-	switch {
-	case nearlyEqual(a.Intensity, a.AchievableRatio, BalanceTolerance):
-		a.State = Balanced
-	case a.Intensity > a.AchievableRatio:
-		// The machine computes faster than the decomposition can feed it.
-		a.State = IOBound
-	default:
-		a.State = ComputeBound
-	}
-	m, err := c.RequiredMemory(a.Intensity, maxM)
-	if err == nil {
-		a.BalancedMemory = m
-		a.Rebalanceable = true
-	} else if !isNotRebalanceable(err) {
+	b, err := diagnoseBoundary(c, pe.Intensity(), pe.M, maxM)
+	if err != nil {
 		return Analysis{}, err
 	}
-	return a, nil
+	return Analysis{
+		Computation:     c.Name,
+		PE:              pe,
+		Intensity:       b.Intensity,
+		AchievableRatio: b.AchievableRatio,
+		State:           b.State,
+		BalancedMemory:  b.BalancedMemory,
+		Rebalanceable:   b.Rebalanceable,
+	}, nil
 }
 
 func nearlyEqual(a, b, tol float64) bool {
 	ref := math.Max(math.Abs(a), math.Abs(b))
 	return ref == 0 || math.Abs(a-b) <= tol*ref
-}
-
-func isNotRebalanceable(err error) bool {
-	for err != nil {
-		if err == ErrNotRebalanceable {
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

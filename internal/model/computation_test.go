@@ -121,6 +121,28 @@ func TestRequiredMemoryCapsAtMax(t *testing.T) {
 	}
 }
 
+// TestRequiredMemoryRejectsBadCap: a cap that is not positive and finite is
+// an argument error, not ErrNotRebalanceable — otherwise the bisection
+// walks toward a negative "memory" and reports it as the answer.
+func TestRequiredMemoryRejectsBadCap(t *testing.T) {
+	mm := MatrixMultiplication()
+	for _, maxM := range []float64{-5, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m, err := mm.RequiredMemory(64, maxM)
+		if err == nil || errors.Is(err, ErrNotRebalanceable) {
+			t.Errorf("maxM=%v: RequiredMemory = %v, %v; want an argument error", maxM, m, err)
+		}
+		if _, err := mm.Rebalance(2, 4096, maxM); err == nil || errors.Is(err, ErrNotRebalanceable) {
+			t.Errorf("maxM=%v: Rebalance err = %v; want an argument error", maxM, err)
+		}
+		if _, err := Analyze(PE{C: 64e6, IO: 1e6, M: 1024}, mm, maxM); err == nil {
+			t.Errorf("maxM=%v: Analyze accepted the cap", maxM)
+		}
+		if _, err := AnalyzeHierarchy(FromPE(PE{C: 64e6, IO: 1e6, M: 1024}), mm, maxM); err == nil {
+			t.Errorf("maxM=%v: AnalyzeHierarchy accepted the cap", maxM)
+		}
+	}
+}
+
 func TestAnalyzeWarpMatmul(t *testing.T) {
 	// Warp per cell: C/IO = 0.5; matmul with 64K words achieves √M = 256.
 	// The cell is massively compute bound for matmul — its I/O channel

@@ -194,6 +194,40 @@ func boundaryScore(intensity, ratio float64) float64 {
 	return intensity / ratio
 }
 
+// diagnoseBoundary is the paper's balance test (§2) for the region inside
+// one boundary, treated as a flat PE: the machine intensity C/BW against
+// the achievable ratio R(W) at the cumulative capacity W within it, plus
+// the capacity that would balance it. It is the one place the model
+// decides a boundary's state; Analyze calls it once, AnalyzeHierarchy once
+// per boundary. ErrNotRebalanceable is an answer (Rebalanceable false),
+// any other solver error is returned.
+func diagnoseBoundary(c Computation, intensity, within, maxM float64) (BoundaryAnalysis, error) {
+	b := BoundaryAnalysis{
+		CapacityWithin:  within,
+		Intensity:       intensity,
+		AchievableRatio: c.Ratio(within),
+	}
+	// With capacity W the computation sustains R(W) ops per word crossing
+	// the boundary, so compute time : I/O time = intensity : R(W).
+	switch {
+	case nearlyEqual(b.Intensity, b.AchievableRatio, BalanceTolerance):
+		b.State = Balanced
+	case b.Intensity > b.AchievableRatio:
+		// The machine computes faster than the decomposition can feed it.
+		b.State = IOBound
+	default:
+		b.State = ComputeBound
+	}
+	m, err := c.RequiredMemory(intensity, maxM)
+	if err == nil {
+		b.BalancedMemory = m
+		b.Rebalanceable = true
+	} else if !errors.Is(err, ErrNotRebalanceable) {
+		return BoundaryAnalysis{}, err
+	}
+	return b, nil
+}
+
 // AnalyzeHierarchy diagnoses a hierarchy against a computation: each
 // adjacent-level boundary gets the paper's balance test — intensity C/BW
 // against the achievable ratio at the cumulative capacity inside it — and
@@ -211,29 +245,14 @@ func AnalyzeHierarchy(h Hierarchy, c Computation, maxM float64) (HierarchyAnalys
 		Binding:     1,
 	}
 	worst := math.Inf(-1)
-	for i := range h.Levels {
-		b := BoundaryAnalysis{
-			Boundary:       i + 1,
-			Level:          h.Levels[i],
-			CapacityWithin: h.CapacityWithin(i + 1),
-			Intensity:      h.BoundaryIntensity(i + 1),
-		}
-		b.AchievableRatio = c.Ratio(b.CapacityWithin)
-		switch {
-		case nearlyEqual(b.Intensity, b.AchievableRatio, BalanceTolerance):
-			b.State = Balanced
-		case b.Intensity > b.AchievableRatio:
-			b.State = IOBound
-		default:
-			b.State = ComputeBound
-		}
-		m, err := c.RequiredMemory(b.Intensity, maxM)
-		if err == nil {
-			b.BalancedMemory = m
-			b.Rebalanceable = true
-		} else if !isNotRebalanceable(err) {
+	var within float64
+	for i, l := range h.Levels {
+		within += l.M // CapacityWithin(i+1), summed in the same order
+		b, err := diagnoseBoundary(c, h.BoundaryIntensity(i+1), within, maxM)
+		if err != nil {
 			return HierarchyAnalysis{}, err
 		}
+		b.Boundary, b.Level = i+1, l
 		a.Boundaries[i] = b
 		if score := boundaryScore(b.Intensity, b.AchievableRatio); score > worst {
 			worst, a.Binding = score, i+1
@@ -334,7 +353,7 @@ func RebalanceHierarchy(h Hierarchy, c Computation, alpha, maxM float64) (Hierar
 		case err == nil:
 			b.RequiredWithin = m
 			b.Rebalanceable = true
-		case isNotRebalanceable(err):
+		case errors.Is(err, ErrNotRebalanceable):
 			r.Rebalanceable = false
 		default:
 			return HierarchyRebalance{}, err

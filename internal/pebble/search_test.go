@@ -207,3 +207,45 @@ func TestBoundsHoldAgainstSchedules(t *testing.T) {
 		}
 	}
 }
+
+// TestHongKungFloorsHoldWhereTheyBind: executed pebblings never beat the
+// Hong–Kung bounds, checked at sizes where the Hong–Kung term — not the
+// trivial read-inputs-write-outputs floor — is the bound, so the check
+// exercises the I/O-versus-memory law itself.
+func TestHongKungFloorsHoldWhereTheyBind(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{{1024, 2}, {2048, 4}, {4096, 2}} {
+		sched, s, err := BlockedFFTSchedule(tc.n, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := FFTDAG(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Execute(d, s, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := FFTLowerBound(tc.n, s)
+		if bound <= float64(2*tc.n) {
+			t.Errorf("FFT n=%d S=%d: bound %v is the trivial floor, the case is vacuous", tc.n, s, bound)
+		}
+		if float64(res.IO()) < bound {
+			t.Errorf("FFT n=%d S=%d: pebbling I/O %d below the Hong–Kung bound %v", tc.n, s, res.IO(), bound)
+		}
+	}
+	for _, tc := range []struct{ n, s int }{{16, 3}, {24, 3}, {24, 4}} {
+		d, err := MatMulDAG(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := mustGreedy(t, d, tc.s)
+		bound := MatMulLowerBound(tc.n, tc.s)
+		if bound <= float64(3*tc.n*tc.n) {
+			t.Errorf("matmul n=%d S=%d: bound %v is the trivial floor, the case is vacuous", tc.n, tc.s, bound)
+		}
+		if float64(res.IO()) < bound {
+			t.Errorf("matmul n=%d S=%d: pebbling I/O %d below the Hong–Kung bound %v", tc.n, tc.s, res.IO(), bound)
+		}
+	}
+}

@@ -78,15 +78,21 @@ type HierarchyPoint struct {
 	ComputeBound bool
 }
 
-// evaluate computes the multi-ridge attainable for an arbitrary hierarchy
-// shape (Path rewrites one level's capacity before calling it).
-func evaluate(h model.Hierarchy, c model.Computation) HierarchyPoint {
+// evaluate computes the multi-ridge attainable of h with level's capacity
+// (1-based) replaced by capacity; level 0 evaluates h as it stands. Every
+// roofline point, flat or hierarchical, comes from here.
+func evaluate(h model.Hierarchy, c model.Computation, level int, capacity float64) HierarchyPoint {
 	p := HierarchyPoint{Attainable: h.C, ComputeBound: true}
-	for i := range h.Levels {
-		r := c.Ratio(h.CapacityWithin(i + 1))
+	var within float64
+	for i, l := range h.Levels {
+		if i+1 == level {
+			l.M = capacity
+		}
+		within += l.M // the cumulative capacity W_i inside boundary i
+		r := c.Ratio(within)
 		ceiling := 0.0
 		if r > 0 {
-			ceiling = h.Levels[i].BW * r
+			ceiling = l.BW * r
 		}
 		if ceiling < p.Attainable {
 			p.Attainable = ceiling
@@ -98,14 +104,14 @@ func evaluate(h model.Hierarchy, c model.Computation) HierarchyPoint {
 	if p.ComputeBound {
 		// On the roof every boundary over-delivers; report the outermost
 		// boundary's intensity, the one nearest its ridge.
-		p.Intensity = c.Ratio(h.TotalCapacity())
+		p.Intensity = c.Ratio(within)
 	}
 	return p
 }
 
 // Point evaluates the computation at the hierarchy's current capacities.
 func (m *HierarchyModel) Point(c model.Computation) HierarchyPoint {
-	p := evaluate(m.H, c)
+	p := evaluate(m.H, c, 0, 0)
 	p.Memory = m.H.TotalCapacity()
 	return p
 }
@@ -113,10 +119,7 @@ func (m *HierarchyModel) Point(c model.Computation) HierarchyPoint {
 // PathPoint evaluates the computation with level's capacity (1-based)
 // replaced by capacity words — one sample of a level sweep.
 func (m *HierarchyModel) PathPoint(c model.Computation, level int, capacity float64) HierarchyPoint {
-	h := m.H
-	h.Levels = append([]model.Level(nil), m.H.Levels...)
-	h.Levels[level-1].M = capacity
-	p := evaluate(h, c)
+	p := evaluate(m.H, c, level, capacity)
 	p.Memory = capacity
 	return p
 }
@@ -127,14 +130,7 @@ func (m *HierarchyModel) Path(c model.Computation, level int, lo, hi, step float
 	if level < 1 || level > m.H.Depth() {
 		return nil, fmt.Errorf("roofline: sweep level %d outside hierarchy depth %d", level, m.H.Depth())
 	}
-	if !(lo > 0) || !(hi >= lo) || !(step > 1) {
-		return nil, fmt.Errorf("roofline: bad sweep [%v, %v] step %v", lo, hi, step)
-	}
-	var pts []HierarchyPoint
-	for mem := lo; mem <= hi*(1+1e-12); mem *= step {
-		pts = append(pts, m.PathPoint(c, level, mem))
-	}
-	return pts, nil
+	return sweep(lo, hi, step, func(mem float64) HierarchyPoint { return m.PathPoint(c, level, mem) })
 }
 
 // Chart renders the multi-ridge roofline in text: one bandwidth slope per

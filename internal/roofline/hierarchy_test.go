@@ -64,26 +64,63 @@ func TestPointBindingBoundary(t *testing.T) {
 	}
 }
 
-// TestOneLevelMatchesFlatModel: the one-level hierarchy's attainable equals
-// the flat roofline at the same memory, for the whole catalog.
+// referencePathPoint is the single-ridge roofline arithmetic written out on
+// its own, as Model.PathPoint computed it before the flat PE became the
+// one-level hierarchy: intensity R(M), attainable min(C, IO·R(M)) (zero
+// for a negative intensity), compute bound when IO·R(M) ≥ C. It shares no
+// code with evaluate, so the equivalence test below checks the one
+// evaluation path against an independent statement of the roofline.
+func referencePathPoint(pe model.PE, c model.Computation, memory float64) Point {
+	i := c.Ratio(memory)
+	attainable := 0.0
+	if i >= 0 {
+		attainable = math.Min(pe.C, pe.IO*i)
+	}
+	return Point{Memory: memory, Intensity: i, Attainable: attainable, ComputeBound: pe.IO*i >= pe.C}
+}
+
+// samePoint compares two roofline points bit for bit.
+func samePoint(a, b Point) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return same(a.Memory, b.Memory) && same(a.Intensity, b.Intensity) &&
+		same(a.Attainable, b.Attainable) && a.ComputeBound == b.ComputeBound
+}
+
+// TestOneLevelMatchesFlatModel: across the catalog and a memory sweep
+// spanning both sides of every ridge, the flat Model, the one-level
+// hierarchy's Point, and its level-1 PathPoint all agree bit for bit with
+// the reference single-ridge arithmetic.
 func TestOneLevelMatchesFlatModel(t *testing.T) {
-	pe := model.PE{C: 50e6, IO: 1e6, M: 4096}
-	flat, err := New(pe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm, err := NewHierarchy(model.FromPE(pe))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range model.Catalog() {
-		fp := flat.PathPoint(c, pe.M)
-		hp := hm.Point(c)
-		if math.Abs(fp.Attainable-hp.Attainable) > 1e-9*fp.Attainable {
-			t.Errorf("%s: hierarchy attainable %v != flat %v", c.Name, hp.Attainable, fp.Attainable)
+	comps := append(model.Catalog(), model.Grid(4), model.SparseMatVec(), model.Convolution(16))
+	for _, pe := range []model.PE{{C: 50e6, IO: 1e6, M: 4096}, {C: 1e9, IO: 1e3, M: 3}, {C: 2, IO: 1, M: 1}} {
+		flat, err := New(pe)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fp.ComputeBound != hp.ComputeBound {
-			t.Errorf("%s: compute-bound mismatch (%v vs %v)", c.Name, hp.ComputeBound, fp.ComputeBound)
+		hm, err := NewHierarchy(model.FromPE(pe))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range comps {
+			for mem := 0.5; mem <= 1<<40; mem *= 3 {
+				want := referencePathPoint(pe, c, mem)
+				if got := flat.PathPoint(c, mem); !samePoint(got, want) {
+					t.Errorf("%s M=%v: flat %+v != reference %+v", c.Name, mem, got, want)
+				}
+				hp := hm.PathPoint(c, 1, mem)
+				got := Point{Memory: hp.Memory, Intensity: hp.Intensity, Attainable: hp.Attainable, ComputeBound: hp.ComputeBound}
+				if !samePoint(got, want) {
+					t.Errorf("%s M=%v: one-level path point %+v != reference %+v", c.Name, mem, hp, want)
+				}
+				if (hp.Binding == 0) != hp.ComputeBound || hp.Binding > 1 {
+					t.Errorf("%s M=%v: binding %d with compute bound %v", c.Name, mem, hp.Binding, hp.ComputeBound)
+				}
+			}
+			want := referencePathPoint(pe, c, pe.M)
+			hp := hm.Point(c)
+			if got := (Point{Memory: hp.Memory, Intensity: hp.Intensity, Attainable: hp.Attainable, ComputeBound: hp.ComputeBound}); !samePoint(got, want) {
+				t.Errorf("%s: one-level point %+v != reference %+v", c.Name, hp, want)
+			}
 		}
 	}
 }

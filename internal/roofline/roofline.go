@@ -58,26 +58,35 @@ func (m *Model) Attainable(intensity float64) float64 {
 	return math.Min(m.PE.C, m.PE.IO*intensity)
 }
 
-// PathPoint evaluates one memory size of a computation's roofline path.
+// PathPoint evaluates one memory size of a computation's roofline path. The
+// flat PE is the one-level hierarchy, so the point comes from the same
+// multi-ridge evaluation HierarchyModel uses, on that one-level stack.
 func (m *Model) PathPoint(c model.Computation, memory float64) Point {
-	i := c.Ratio(memory)
+	levels := [1]model.Level{{BW: m.PE.IO, M: memory}}
+	p := evaluate(model.Hierarchy{C: m.PE.C, Levels: levels[:]}, c, 0, 0)
 	return Point{
 		Memory:       memory,
-		Intensity:    i,
-		Attainable:   m.Attainable(i),
-		ComputeBound: m.PE.IO*i >= m.PE.C,
+		Intensity:    p.Intensity,
+		Attainable:   p.Attainable,
+		ComputeBound: p.ComputeBound,
 	}
 }
 
 // Path samples the computation's roofline path at geometrically spaced
 // memory sizes from lo to hi (inclusive-ish), factor step > 1.
 func (m *Model) Path(c model.Computation, lo, hi, step float64) ([]Point, error) {
+	return sweep(lo, hi, step, func(mem float64) Point { return m.PathPoint(c, mem) })
+}
+
+// sweep is the one sampling loop behind both Path methods: at(mem) for
+// geometrically spaced mem from lo to hi (inclusive-ish), factor step > 1.
+func sweep[P any](lo, hi, step float64, at func(mem float64) P) ([]P, error) {
 	if !(lo > 0) || !(hi >= lo) || !(step > 1) {
 		return nil, fmt.Errorf("roofline: bad sweep [%v, %v] step %v", lo, hi, step)
 	}
-	var pts []Point
+	var pts []P
 	for mem := lo; mem <= hi*(1+1e-12); mem *= step {
-		pts = append(pts, m.PathPoint(c, mem))
+		pts = append(pts, at(mem))
 	}
 	return pts, nil
 }

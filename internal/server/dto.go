@@ -21,8 +21,6 @@ type PEDTO struct {
 
 func (p PEDTO) toModel() model.PE { return model.PE{C: p.C, IO: p.IO, M: p.M} }
 
-func peDTO(pe model.PE) PEDTO { return PEDTO{C: pe.C, IO: pe.IO, M: pe.M} }
-
 // LevelDTO is the wire shape of one memory level: capacity M words filled
 // through its outer boundary at BW words/s. A request's `levels` array is
 // ordered innermost first; bandwidths must be non-increasing outward
@@ -170,7 +168,8 @@ type AnalyzeRequest struct {
 	PE          PEDTO          `json:"pe"`
 	Computation ComputationDTO `json:"computation"`
 	// MaxMemory bounds the numeric balanced-memory search; 0 means the
-	// package default of 10^18 words.
+	// package default of 10^18 words, and any other value must be
+	// positive and finite (422 invalid_argument otherwise).
 	MaxMemory float64 `json:"max_memory,omitempty"`
 	// Levels switches the request to hierarchy analysis: PE.C is the
 	// compute rate, the levels (innermost first) replace PE.IO/PE.M

@@ -88,10 +88,7 @@ func (s *Server) emulation(_ context.Context, req *EmulationRequest) (*Emulation
 	if netBW == 0 {
 		netBW = req.ModuleBW
 	}
-	maxM := req.MaxMemory
-	if maxM == 0 {
-		maxM = s.maxMemoryDefault
-	}
+	maxM := s.maxMemory(req.MaxMemory)
 	// The emulated machine, innermost first: one module's memory behind
 	// its local port, the other N-1 modules' memory behind the network. A
 	// single module degenerates to the flat machine (one level). The
@@ -144,20 +141,8 @@ func (s *Server) emulation(_ context.Context, req *EmulationRequest) (*Emulation
 			BalancedMemory:  ideal.BalancedMemory,
 			Rebalanceable:   ideal.Rebalanceable,
 		},
+		Boundaries:      boundaryDTOs(a.Boundaries),
 		BindingBoundary: a.Binding,
-	}
-	for _, b := range a.Boundaries {
-		resp.Boundaries = append(resp.Boundaries, BoundaryDTO{
-			Boundary:        b.Boundary,
-			Name:            b.Level.Name,
-			BW:              b.Level.BW,
-			CapacityWithin:  b.CapacityWithin,
-			Intensity:       b.Intensity,
-			AchievableRatio: b.AchievableRatio,
-			State:           balanceStateName(b.State),
-			BalancedMemory:  b.BalancedMemory,
-			Rebalanceable:   b.Rebalanceable,
-		})
 	}
 	if idealUtil > 0 {
 		resp.Efficiency = emUtil / idealUtil

@@ -140,6 +140,9 @@ func TestEmulationValidation(t *testing.T) {
 		{"unknown computation",
 			`{"c": 1e6, "computation": {"name": "nope"}, "modules": 4, "module_m": 1024, "module_bw": 1e6}`,
 			422, "unknown_computation"},
+		{"negative max_memory",
+			`{"c": 1e6, "computation": {"name": "fft"}, "modules": 4, "module_m": 1024, "module_bw": 1e6, "max_memory": -5}`,
+			422, "invalid_argument"},
 		{"unknown field",
 			`{"c": 1e6, "computation": {"name": "fft"}, "modules": 4, "module_m": 1024, "module_bw": 1e6, "bogus": 1}`,
 			400, "bad_json"},

@@ -1,11 +1,13 @@
 package server
 
-// Hierarchy request handling: the optional `levels` array on analyze,
-// rebalance, roofline, and sweep lifts those operations from the flat PE to
-// model.Hierarchy. One resolver owns the DTO→model mapping and the typed
-// 422s (non_monotone_hierarchy for mis-ordered bandwidths), so the four
-// endpoints cannot drift apart; flat requests never reach this file and
-// keep their byte-identical wire shapes.
+// Machine descriptions: a request names its machine either as a flat PE
+// (pe{c, io, m}) or as a compute rate over a level stack (pe.c + levels).
+// One resolver maps both onto model.Hierarchy — the flat PE is the
+// one-level stack — and owns the typed 422s (non_monotone_hierarchy for
+// mis-ordered bandwidths), so analyze, roofline, rebalance, emulation and
+// the hierarchy sweep cannot drift apart. Flat responses stay
+// byte-identical to the pre-hierarchy wire shapes: the cores set the
+// hierarchy-only fields only when the request carries levels.
 
 import (
 	"context"
@@ -16,7 +18,6 @@ import (
 	"balarch/internal/kernels"
 	"balarch/internal/model"
 	"balarch/internal/opcount"
-	"balarch/internal/roofline"
 )
 
 // maxHierarchyLevels caps a request's level stack — a service limit, not a
@@ -45,50 +46,28 @@ func resolveHierarchy(c float64, levels []LevelDTO) (model.Hierarchy, *apiError)
 	return h, nil
 }
 
-// requireNoFlatFields rejects requests that mix the hierarchy and flat
-// machine descriptions: with `levels` present the compute rate lives in
-// pe.c and the levels carry the bandwidths and capacities.
-func requireNoFlatFields(pe PEDTO) *apiError {
-	if pe.IO != 0 || pe.M != 0 {
-		return unprocessable("invalid_argument",
-			"levels and pe.io/pe.m are mutually exclusive: with a hierarchy, put the compute rate in pe.c and the bandwidths/capacities in levels")
+// resolveMachine maps either machine description onto the validated model
+// type. The flat branch keeps PE.Validate's messages (a valid PE is a valid
+// one-level stack); the levels branch rejects mixed descriptions before
+// resolving the stack.
+func resolveMachine(pe PEDTO, levels []LevelDTO) (model.Hierarchy, *apiError) {
+	if len(levels) == 0 {
+		if err := pe.toModel().Validate(); err != nil {
+			return model.Hierarchy{}, unprocessable("invalid_argument", "%v", err)
+		}
+		return model.FromPE(pe.toModel()), nil
 	}
-	return nil
+	if apiErr := requireNoFlatFields(pe); apiErr != nil {
+		return model.Hierarchy{}, apiErr
+	}
+	return resolveHierarchy(pe.C, levels)
 }
 
-// analyzeHierarchy is the hierarchy branch of the analyze core: every
-// boundary gets the paper's balance test, the flat response fields describe
-// the binding boundary (as the effective flat PE there), and the
-// per-boundary detail rides in Boundaries.
-func (s *Server) analyzeHierarchy(req *AnalyzeRequest, comp model.Computation, maxM float64) (*AnalyzeResponse, *apiError) {
-	if apiErr := requireNoFlatFields(req.PE); apiErr != nil {
-		return nil, apiErr
-	}
-	h, apiErr := resolveHierarchy(req.PE.C, req.Levels)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	a, err := model.AnalyzeHierarchy(h, comp, maxM)
-	if err != nil {
-		return nil, unprocessable("invalid_argument", "%v", err)
-	}
-	bind := a.BindingBoundary()
-	resp := &AnalyzeResponse{
-		Computation:     comp.Name,
-		Section:         comp.Section,
-		PE:              PEDTO{C: h.C, IO: bind.Level.BW, M: bind.CapacityWithin},
-		Intensity:       bind.Intensity,
-		AchievableRatio: bind.AchievableRatio,
-		State:           balanceStateName(a.State),
-		BalancedMemory:  bind.BalancedMemory,
-		Rebalanceable:   bind.Rebalanceable,
-		Law:             lawDescription(comp.Law),
-		Levels:          req.Levels,
-		BindingBoundary: a.Binding,
-		Boundaries:      make([]BoundaryDTO, len(a.Boundaries)),
-	}
-	for i, b := range a.Boundaries {
-		resp.Boundaries[i] = BoundaryDTO{
+// boundaryDTOs renders a hierarchy analysis's per-boundary verdicts.
+func boundaryDTOs(bs []model.BoundaryAnalysis) []BoundaryDTO {
+	out := make([]BoundaryDTO, len(bs))
+	for i, b := range bs {
+		out[i] = BoundaryDTO{
 			Boundary:        b.Boundary,
 			Name:            b.Level.Name,
 			BW:              b.Level.BW,
@@ -100,7 +79,18 @@ func (s *Server) analyzeHierarchy(req *AnalyzeRequest, comp model.Computation, m
 			Rebalanceable:   b.Rebalanceable,
 		}
 	}
-	return resp, nil
+	return out
+}
+
+// requireNoFlatFields rejects requests that mix the hierarchy and flat
+// machine descriptions: with `levels` present the compute rate lives in
+// pe.c and the levels carry the bandwidths and capacities.
+func requireNoFlatFields(pe PEDTO) *apiError {
+	if pe.IO != 0 || pe.M != 0 {
+		return unprocessable("invalid_argument",
+			"levels and pe.io/pe.m are mutually exclusive: with a hierarchy, put the compute rate in pe.c and the bandwidths/capacities in levels")
+	}
+	return nil
 }
 
 // rebalanceHierarchy is the hierarchy branch of the rebalance core: the
@@ -145,70 +135,6 @@ func (s *Server) rebalanceHierarchy(req *RebalanceRequest, comp model.Computatio
 			MNew:  l.MNew,
 			Delta: l.Delta,
 		})
-	}
-	return resp, nil
-}
-
-// rooflineHierarchy is the hierarchy branch of the roofline core: the
-// multi-ridge roofline, with [MemLo, MemHi] sweeping the chosen level's
-// capacity.
-func (s *Server) rooflineHierarchy(req *RooflineRequest, comps []model.Computation) (*RooflineResponse, *apiError) {
-	if apiErr := requireNoFlatFields(req.PE); apiErr != nil {
-		return nil, apiErr
-	}
-	h, apiErr := resolveHierarchy(req.PE.C, req.Levels)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	m, err := roofline.NewHierarchy(h)
-	if err != nil {
-		return nil, unprocessable("invalid_argument", "%v", err)
-	}
-	level := req.SweepLevel
-	if level == 0 {
-		level = 1
-	}
-	lo, hi, step := req.MemLo, req.MemHi, req.Step
-	if step == 0 {
-		step = 4
-	}
-	if apiErr := checkRooflinePoints(lo, hi, step); apiErr != nil {
-		return nil, apiErr
-	}
-	ridges := m.Ridges()
-	resp := &RooflineResponse{
-		PE:             req.PE,
-		RidgeIntensity: ridges[len(ridges)-1].Intensity,
-		Levels:         req.Levels,
-		Ridges:         make([]RidgeDTO, len(ridges)),
-		SweepLevel:     level,
-	}
-	for i, r := range ridges {
-		resp.Ridges[i] = RidgeDTO{Boundary: r.Boundary, BW: r.Bandwidth, Intensity: r.Intensity}
-	}
-	for _, comp := range comps {
-		pts, err := m.Path(comp, level, lo, hi, step)
-		if err != nil {
-			return nil, unprocessable("invalid_argument", "%v", err)
-		}
-		path := RooflinePathDTO{Computation: comp.Name}
-		for _, p := range pts {
-			path.Points = append(path.Points, RooflinePointDTO{
-				Memory:       p.Memory,
-				Intensity:    p.Intensity,
-				Attainable:   p.Attainable,
-				ComputeBound: p.ComputeBound,
-				Binding:      p.Binding,
-			})
-		}
-		resp.Paths = append(resp.Paths, path)
-	}
-	if req.Chart {
-		chart, err := m.Chart(comps)
-		if err != nil {
-			return nil, unprocessable("invalid_argument", "%v", err)
-		}
-		resp.Chart = chart
 	}
 	return resp, nil
 }

@@ -591,36 +591,52 @@ func (s *Server) observePoolJob(_ string, elapsed time.Duration, cached bool) {
 
 // --- core operations (shared by handlers and /v1/batch) ---
 
-// analyze diagnoses a PE — or, when the request carries levels, a whole
-// memory hierarchy — against a catalog computation.
+// analyze diagnoses a machine against a catalog computation. A flat PE is
+// the one-level stack, so both request shapes run the same hierarchy
+// analysis: the flat response fields describe the binding boundary (as the
+// effective flat PE there), and only a request with levels gets the
+// per-boundary detail.
 func (s *Server) analyze(_ context.Context, req *AnalyzeRequest) (*AnalyzeResponse, *apiError) {
 	comp, apiErr := resolveComputation(req.Computation)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	maxM := req.MaxMemory
-	if maxM == 0 {
-		maxM = s.maxMemoryDefault
+	h, apiErr := resolveMachine(req.PE, req.Levels)
+	if apiErr != nil {
+		return nil, apiErr
 	}
-	if len(req.Levels) > 0 {
-		return s.analyzeHierarchy(req, comp, maxM)
-	}
-	a, err := model.Analyze(req.PE.toModel(), comp, maxM)
+	a, err := model.AnalyzeHierarchy(h, comp, s.maxMemory(req.MaxMemory))
 	if err != nil {
-		// Analyze fails only on invalid PE parameters.
 		return nil, unprocessable("invalid_argument", "%v", err)
 	}
-	return &AnalyzeResponse{
+	bind := a.BindingBoundary()
+	resp := &AnalyzeResponse{
 		Computation:     comp.Name,
 		Section:         comp.Section,
-		PE:              peDTO(a.PE),
-		Intensity:       a.Intensity,
-		AchievableRatio: a.AchievableRatio,
+		PE:              PEDTO{C: h.C, IO: bind.Level.BW, M: bind.CapacityWithin},
+		Intensity:       bind.Intensity,
+		AchievableRatio: bind.AchievableRatio,
 		State:           balanceStateName(a.State),
-		BalancedMemory:  a.BalancedMemory,
-		Rebalanceable:   a.Rebalanceable,
+		BalancedMemory:  bind.BalancedMemory,
+		Rebalanceable:   bind.Rebalanceable,
 		Law:             lawDescription(comp.Law),
-	}, nil
+	}
+	if len(req.Levels) > 0 {
+		resp.Levels = req.Levels
+		resp.BindingBoundary = a.Binding
+		resp.Boundaries = boundaryDTOs(a.Boundaries)
+	}
+	return resp, nil
+}
+
+// maxMemory resolves a request's max_memory: absent (0) means the server
+// default; anything else goes to the model, which rejects a cap that is
+// not positive and finite.
+func (s *Server) maxMemory(req float64) float64 {
+	if req == 0 {
+		return s.maxMemoryDefault
+	}
+	return req
 }
 
 // rebalance answers the memory-growth question numerically and in closed
@@ -631,10 +647,7 @@ func (s *Server) rebalance(_ context.Context, req *RebalanceRequest) (*Rebalance
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	maxM := req.MaxMemory
-	if maxM == 0 {
-		maxM = s.maxMemoryDefault
-	}
+	maxM := s.maxMemory(req.MaxMemory)
 	if len(req.Levels) > 0 {
 		return s.rebalanceHierarchy(req, comp, maxM)
 	}
@@ -665,9 +678,11 @@ func (s *Server) rebalance(_ context.Context, req *RebalanceRequest) (*Rebalance
 	return resp, nil
 }
 
-// rooflineOp evaluates the roofline model — single-ridge for a flat PE,
-// multi-ridge when the request carries levels — across the requested
-// computations and memory sweep.
+// roofline evaluates the roofline model across the requested computations
+// and memory sweep. A flat PE is the one-level stack, so both request
+// shapes sample the same multi-ridge paths; only a request with levels gets
+// the ridges, the sweep level and per-point binding boundaries, and the
+// chart is drawn single-ridge for a flat PE.
 func (s *Server) roofline(_ context.Context, req *RooflineRequest) (*RooflineResponse, *apiError) {
 	if len(req.Computations) == 0 {
 		return nil, unprocessable("invalid_argument", "computations must list at least one entry")
@@ -680,16 +695,19 @@ func (s *Server) roofline(_ context.Context, req *RooflineRequest) (*RooflineRes
 		}
 		comps[i] = comp
 	}
-	if len(req.Levels) > 0 {
-		return s.rooflineHierarchy(req, comps)
-	}
-	if req.SweepLevel != 0 {
+	leveled := len(req.Levels) > 0
+	if !leveled && req.SweepLevel != 0 {
 		return nil, unprocessable("invalid_argument",
 			"sweep_level is a hierarchy field: it needs a levels array")
 	}
-	m, err := roofline.New(req.PE.toModel())
-	if err != nil {
-		return nil, unprocessable("invalid_argument", "%v", err)
+	h, apiErr := resolveMachine(req.PE, req.Levels)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	m := &roofline.HierarchyModel{H: h}
+	level := req.SweepLevel
+	if level == 0 {
+		level = 1
 	}
 	lo, hi, step := req.MemLo, req.MemHi, req.Step
 	if step == 0 {
@@ -698,25 +716,41 @@ func (s *Server) roofline(_ context.Context, req *RooflineRequest) (*RooflineRes
 	if apiErr := checkRooflinePoints(lo, hi, step); apiErr != nil {
 		return nil, apiErr
 	}
-	resp := &RooflineResponse{PE: req.PE, RidgeIntensity: m.RidgeIntensity()}
+	ridges := m.Ridges()
+	resp := &RooflineResponse{PE: req.PE, RidgeIntensity: ridges[len(ridges)-1].Intensity}
+	if leveled {
+		resp.Levels, resp.SweepLevel = req.Levels, level
+		resp.Ridges = make([]RidgeDTO, len(ridges))
+		for i, r := range ridges {
+			resp.Ridges[i] = RidgeDTO{Boundary: r.Boundary, BW: r.Bandwidth, Intensity: r.Intensity}
+		}
+	}
 	for _, comp := range comps {
-		pts, err := m.Path(comp, lo, hi, step)
+		pts, err := m.Path(comp, level, lo, hi, step)
 		if err != nil {
 			return nil, unprocessable("invalid_argument", "%v", err)
 		}
-		path := RooflinePathDTO{Computation: comp.Name}
-		for _, p := range pts {
-			path.Points = append(path.Points, RooflinePointDTO{
+		path := RooflinePathDTO{Computation: comp.Name, Points: make([]RooflinePointDTO, len(pts))}
+		for i, p := range pts {
+			path.Points[i] = RooflinePointDTO{
 				Memory:       p.Memory,
 				Intensity:    p.Intensity,
 				Attainable:   p.Attainable,
 				ComputeBound: p.ComputeBound,
-			})
+			}
+			if leveled {
+				path.Points[i].Binding = p.Binding
+			}
 		}
 		resp.Paths = append(resp.Paths, path)
 	}
 	if req.Chart {
-		chart, err := m.Chart(comps, lo, hi)
+		chart, err := "", error(nil)
+		if leveled {
+			chart, err = m.Chart(comps)
+		} else {
+			chart, err = (&roofline.Model{PE: req.PE.toModel()}).Chart(comps, lo, hi)
+		}
 		if err != nil {
 			return nil, unprocessable("invalid_argument", "%v", err)
 		}

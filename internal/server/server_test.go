@@ -113,6 +113,9 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"unknown computation", `{"pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "quicksort"}}`, 422, "unknown_computation"},
 		{"invalid pe", `{"pe": {"c": -1, "io": 1, "m": 1}, "computation": {"name": "fft"}}`, 422, "invalid_argument"},
 		{"bad grid dim", `{"pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "grid", "dim": 9}}`, 422, "invalid_argument"},
+		{"negative max_memory", `{"pe": {"c": 50e6, "io": 1e6, "m": 4096}, "computation": {"name": "fft"}, "max_memory": -5}`, 422, "invalid_argument"},
+		{"negative max_memory with levels", `{"pe": {"c": 1e9}, "levels": [{"bw": 1e6, "m": 64}], "computation": {"name": "matmul"}, "max_memory": -5}`, 422, "invalid_argument"},
+		{"zero max_memory is the default", `{"pe": {"c": 50e6, "io": 1e6, "m": 4096}, "computation": {"name": "fft"}, "max_memory": 0}`, 200, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,9 +150,15 @@ func TestRebalance(t *testing.T) {
 		t.Errorf("matvec m_new should be omitted, got %v", decoded["m_new"])
 	}
 
-	// Argument validation is 422.
-	wantStatus(t, h, "POST", "/v1/rebalance",
-		`{"computation": {"name": "matmul"}, "alpha": 0.5, "m_old": 1024}`, 422, "invalid_argument")
+	// Argument validation is 422, a bad memory cap included (it used to
+	// bisect toward the negative cap and answer m_new = -5).
+	for _, body := range []string{
+		`{"computation": {"name": "matmul"}, "alpha": 0.5, "m_old": 1024}`,
+		`{"computation": {"name": "matmul"}, "alpha": 4, "m_old": 1024, "max_memory": -5}`,
+		`{"computation": {"name": "matmul"}, "alpha": 4, "c": 1e9, "levels": [{"bw": 1e6, "m": 64}], "max_memory": -5}`,
+	} {
+		wantStatus(t, h, "POST", "/v1/rebalance", body, 422, "invalid_argument")
+	}
 }
 
 func TestRoofline(t *testing.T) {
