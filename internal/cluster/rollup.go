@@ -1,15 +1,17 @@
 package cluster
 
 // The cluster /metrics rollup: every node's Snapshot fetched in
-// parallel, summed into one Snapshot-shaped aggregate, plus a cluster
-// section with per-node health and the gateway's own traffic counters.
-// Embedding server.Snapshot keeps the rollup's flat keys identical to a
-// node's, so anything that reads node metrics — the loadgen drain gate,
-// dashboards — reads gateway metrics unchanged.
+// parallel and merged (server.Snapshot.Merge) into one node-shaped
+// value, plus a cluster section with per-node health and the gateway's
+// own traffic counters. Embedding server.Snapshot keeps the rollup's
+// flat keys identical to a node's, so anything that reads node metrics —
+// the loadgen drain gate, dashboards — reads gateway metrics unchanged.
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
+	"slices"
 	"time"
 
 	"balarch/internal/obs"
@@ -38,8 +40,8 @@ type ClusterInfo struct {
 	NodeStatus           []NodeStatus `json:"node_status"`
 }
 
-// Rollup is the gateway's GET /metrics body: a node-shaped Snapshot
-// aggregated across the cluster, plus the cluster section.
+// Rollup is the gateway's GET /metrics body: the nodes' Snapshots merged,
+// plus the cluster section.
 type Rollup struct {
 	server.Snapshot
 	Cluster ClusterInfo `json:"cluster"`
@@ -47,26 +49,26 @@ type Rollup struct {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	nodes, bodies := g.nodeGet(r.Context(), r.Header, "/metrics")
-	var snaps []server.Snapshot
-	reporting := make(map[*Node]bool, len(nodes))
-	for i, data := range bodies {
-		if data == nil {
-			continue
-		}
-		var s server.Snapshot
-		if json.Unmarshal(data, &s) != nil {
-			continue
-		}
-		reporting[nodes[i]] = true
-		snaps = append(snaps, s)
-	}
 	roll := Rollup{
-		Snapshot: aggregateSnapshots(snaps),
+		Snapshot: server.Snapshot{
+			Requests:      map[string]int64{},
+			RouteLatency:  map[string]server.RouteLatency{},
+			StatusClasses: map[string]int64{},
+		},
 		Cluster: ClusterInfo{
 			Nodes:                len(g.m.nodes),
 			Healthy:              len(g.m.healthySnapshot()),
 			GatewayUptimeSeconds: time.Since(g.start).Seconds(),
 		},
+	}
+	reporting := make(map[*Node]bool, len(nodes))
+	for i, data := range bodies {
+		var s server.Snapshot
+		if data == nil || json.Unmarshal(data, &s) != nil {
+			continue
+		}
+		reporting[nodes[i]] = true
+		roll.Merge(&s)
 	}
 	for _, n := range g.m.nodes {
 		roll.Cluster.NodeStatus = append(roll.Cluster.NodeStatus, NodeStatus{
@@ -79,125 +81,18 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if r.URL.Query().Get("format") == "prometheus" {
-		g.writePromRollup(w, &roll)
+		writePromRollup(w, &roll)
 		return
 	}
 	g.writeJSON(w, http.StatusOK, roll)
 }
 
-// aggregateSnapshots sums node snapshots into one cluster view:
-// counters and maps sum, histograms add bucket-wise (every node buckets
-// on the same bounds), quantiles take the cluster-conservative maximum
-// (a summed histogram cannot be re-quantiled without raw counts per
-// route — max is honest: no route is slower than its slowest node),
-// and uptime is the oldest node's.
-func aggregateSnapshots(snaps []server.Snapshot) server.Snapshot {
-	agg := server.Snapshot{
-		Requests:      map[string]int64{},
-		RouteLatency:  map[string]server.RouteLatency{},
-		StatusClasses: map[string]int64{},
-	}
-	var totalReq int64
-	var latWeighted float64
-	for _, s := range snaps {
-		if s.UptimeSeconds > agg.UptimeSeconds {
-			agg.UptimeSeconds = s.UptimeSeconds
-		}
-		agg.InFlight += s.InFlight
-		agg.Panics += s.Panics
-		agg.CacheHits += s.CacheHits
-		agg.CacheMisses += s.CacheMisses
-		agg.StoreHits += s.StoreHits
-		agg.StoreMisses += s.StoreMisses
-		agg.StoreBytes += s.StoreBytes
-		agg.StoreEntries += s.StoreEntries
-		agg.JobsQueued += s.JobsQueued
-		agg.JobsRunning += s.JobsRunning
-		agg.JobsDone += s.JobsDone
-		agg.JobsFailed += s.JobsFailed
-		agg.JobsCanceled += s.JobsCanceled
-		agg.JobsReplayed += s.JobsReplayed
-		agg.SchedPicks += s.SchedPicks
-		agg.SchedSkips += s.SchedSkips
-		agg.SchedMaxWaitPicks += s.SchedMaxWaitPicks
-		agg.SchedDrainBPS += s.SchedDrainBPS
-		agg.SchedRunningBytes += s.SchedRunningBytes
-		if agg.SchedPolicy == "" {
-			agg.SchedPolicy = s.SchedPolicy
-		}
-		if agg.SchedSelfState == "" || agg.SchedSelfState == "idle" {
-			// The cluster is "idle" only when every node is.
-			if s.SchedSelfState != "" {
-				agg.SchedSelfState = s.SchedSelfState
-			}
-		}
-		for route, n := range s.Requests {
-			agg.Requests[route] += n
-		}
-		for class, n := range s.StatusClasses {
-			agg.StatusClasses[class] += n
-		}
-		for route, rl := range s.RouteLatency {
-			cur := agg.RouteLatency[route]
-			merged := server.RouteLatency{Count: cur.Count + rl.Count}
-			if cur.Count+rl.Count > 0 {
-				merged.MeanSeconds = (cur.MeanSeconds*float64(cur.Count) +
-					rl.MeanSeconds*float64(rl.Count)) / float64(cur.Count+rl.Count)
-			}
-			merged.P50Seconds = maxF(cur.P50Seconds, rl.P50Seconds)
-			merged.P95Seconds = maxF(cur.P95Seconds, rl.P95Seconds)
-			merged.P99Seconds = maxF(cur.P99Seconds, rl.P99Seconds)
-			merged.MaxSeconds = maxF(cur.MaxSeconds, rl.MaxSeconds)
-			agg.RouteLatency[route] = merged
-		}
-		var nodeReq int64
-		for _, n := range s.Requests {
-			nodeReq += n
-		}
-		totalReq += nodeReq
-		latWeighted += s.LatencyMean * float64(nodeReq)
-		if agg.LatencyBuckets == nil {
-			agg.LatencyBuckets = append([]server.HistogramBucket(nil), s.LatencyBuckets...)
-		} else if len(agg.LatencyBuckets) == len(s.LatencyBuckets) {
-			for i := range agg.LatencyBuckets {
-				agg.LatencyBuckets[i].Count += s.LatencyBuckets[i].Count
-			}
-		}
-		for name, ts := range s.Tenants {
-			if agg.Tenants == nil {
-				agg.Tenants = map[string]server.TenantSnapshot{}
-			}
-			cur := agg.Tenants[name]
-			cur.Requests += ts.Requests
-			cur.RateLimited += ts.RateLimited
-			cur.OverBudget += ts.OverBudget
-			cur.JobMemInUse += ts.JobMemInUse
-			cur.JobMemBudget += ts.JobMemBudget
-			cur.SchedServed += ts.SchedServed
-			agg.Tenants[name] = cur
-		}
-	}
-	if totalReq > 0 {
-		agg.LatencyMean = latWeighted / float64(totalReq)
-	}
-	if lookups := agg.CacheHits + agg.CacheMisses; lookups > 0 {
-		agg.CacheHitRate = float64(agg.CacheHits) / float64(lookups)
-	}
-	return agg
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // writePromRollup renders the rollup as Prometheus text: the cluster
-// gauges, per-node health and traffic, and the aggregate counters the
-// JSON body carries — through the same zero-intermediate PromEnc the
-// nodes use.
-func (g *Gateway) writePromRollup(w http.ResponseWriter, roll *Rollup) {
+// gauges, per-node health and traffic, and the merged counters the JSON
+// body carries — through the same zero-intermediate PromEnc the nodes
+// use. Series are emitted in a fixed order (routes sorted), so equal
+// rollups render equal bytes.
+func writePromRollup(w http.ResponseWriter, roll *Rollup) {
 	bb := getBuf()
 	defer putBuf(bb)
 	e := obs.PromEnc{B: bb.b[:0]}
@@ -242,10 +137,10 @@ func (g *Gateway) writePromRollup(w http.ResponseWriter, roll *Rollup) {
 	}
 
 	e.Header("balarch_cluster_requests_total", "Completed requests summed across nodes, by route.", "counter")
-	for route, n := range roll.Requests {
+	for _, route := range slices.Sorted(maps.Keys(roll.Requests)) {
 		e.Begin("balarch_cluster_requests_total")
 		e.Label("route", route)
-		e.Int(n)
+		e.Int(roll.Requests[route])
 	}
 	e.Header("balarch_cluster_sweep_cache_hits_total", "Sweep memo hits summed across nodes.", "counter")
 	e.Begin("balarch_cluster_sweep_cache_hits_total")

@@ -265,32 +265,6 @@ func TestGCGate(t *testing.T) {
 	}
 }
 
-func TestHistQuantiles(t *testing.T) {
-	h := newHist()
-	// 90 fast observations, 10 slow: p50 in the fast bucket, p99 slow.
-	for i := 0; i < 90; i++ {
-		h.observe(0.00008) // ≤ 0.0001 bucket
-	}
-	for i := 0; i < 10; i++ {
-		h.observe(0.2) // ≤ 0.25 bucket
-	}
-	if got := h.quantile(0.50); got != 0.0001 {
-		t.Errorf("p50 = %v, want 0.0001", got)
-	}
-	if got := h.quantile(0.99); got != 0.25 {
-		t.Errorf("p99 = %v, want 0.25", got)
-	}
-	if h.max != 0.2 || h.n != 100 {
-		t.Errorf("max %v n %d", h.max, h.n)
-	}
-	// Overflow: beyond the last bucket the quantile reports the exact max.
-	h2 := newHist()
-	h2.observe(99)
-	if got := h2.quantile(0.99); got != 99 {
-		t.Errorf("overflow quantile = %v, want the exact max 99", got)
-	}
-}
-
 func TestBucketIndex(t *testing.T) {
 	bounds := []float64{0.001, 0.01, 0.1}
 	for _, tc := range []struct {

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"balarch/client"
+	"balarch/internal/obs"
 	"balarch/internal/report"
-	"balarch/internal/server"
 	"balarch/internal/textplot"
 )
 
@@ -187,7 +187,7 @@ func CrossCheck(s *Summary, m *client.MetricsSnapshot) []string {
 // minAbove samples above their rank on both sides; CrossCheck's 1 skips
 // just the sample maximum.
 func crossCheck(s *Summary, m *client.MetricsSnapshot, minAbove int64) []string {
-	bounds := server.LatencyBucketBounds()
+	bounds := obs.LatencyBounds[:]
 	var problems []string
 	for _, route := range s.routeNames() {
 		rs := s.Routes[route]
@@ -234,6 +234,19 @@ func crossCheck(s *Summary, m *client.MetricsSnapshot, minAbove int64) []string 
 		}
 	}
 	return problems
+}
+
+// BucketIndex maps a quantile estimate back to its bucket position on
+// bounds: the smallest bucket whose upper bound is ≥ v, or len(bounds) for
+// the overflow region. Two estimates "agree within one bucket" when their
+// indices differ by at most one.
+func BucketIndex(bounds []float64, v float64) int {
+	for i, ub := range bounds {
+		if v <= ub {
+			return i
+		}
+	}
+	return len(bounds)
 }
 
 // AddJobsDrainGate appends the zero-lost-jobs claim for async (job-queue)

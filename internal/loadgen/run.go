@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"balarch/client"
+	"balarch/internal/obs"
 )
 
 // Config shapes one load run.
@@ -62,7 +63,7 @@ const maxUnexpectedSamples = 5
 
 // routeAcc accumulates one route's results during the run.
 type routeAcc struct {
-	h                 *hist
+	h                 obs.Hist
 	statuses          map[string]int64
 	transportErrors   int64
 	unexpected        int64
@@ -92,7 +93,7 @@ func newCollector() *collector {
 func (c *collector) route(name string) *routeAcc {
 	ra := c.routes[name]
 	if ra == nil {
-		ra = &routeAcc{h: newHist(), statuses: make(map[string]int64)}
+		ra = &routeAcc{statuses: make(map[string]int64)}
 		c.routes[name] = ra
 	}
 	return ra
@@ -104,7 +105,7 @@ func (c *collector) record(q Request, resp *client.Response, err error, elapsed 
 	defer c.mu.Unlock()
 	c.requests++
 	ra := c.route(q.Route)
-	ra.h.observe(elapsed.Seconds())
+	ra.h.Observe(elapsed)
 	if resp != nil && resp.Traceparent != "" {
 		c.traceSent++
 		if resp.TraceEchoed() {
@@ -354,17 +355,18 @@ func (c *collector) summary(cfg Config, mode string, workers int, elapsed time.D
 		s.ThroughputRPS = float64(c.requests) / elapsed.Seconds()
 	}
 	for route, ra := range c.routes {
+		h := ra.h.Snapshot()
 		s.Routes[route] = &RouteSummary{
-			Count:             ra.h.n,
+			Count:             h.Count,
 			StatusClasses:     ra.statuses,
 			TransportErrors:   ra.transportErrors,
 			Unexpected:        ra.unexpected,
 			UnexpectedSamples: ra.unexpectedSamples,
-			MeanSeconds:       ra.h.mean(),
-			P50Seconds:        ra.h.quantile(0.50),
-			P95Seconds:        ra.h.quantile(0.95),
-			P99Seconds:        ra.h.quantile(0.99),
-			MaxSeconds:        ra.h.max,
+			MeanSeconds:       h.Mean(),
+			P50Seconds:        h.Quantile(0.50),
+			P95Seconds:        h.Quantile(0.95),
+			P99Seconds:        h.Quantile(0.99),
+			MaxSeconds:        h.Max.Seconds(),
 		}
 	}
 	return s

@@ -1,7 +1,8 @@
 // Package obs is the observability layer of balance-as-a-service:
 // request-scoped traces with fixed-capacity span buffers, W3C
-// trace-context propagation, an always-on per-stage latency registry,
-// and an append-style Prometheus text encoder. Everything is stdlib-only
+// trace-context propagation, the one latency histogram (Hist, on the one
+// bound table LatencyBounds) and the always-on per-stage registry built
+// from it, and an append-style Prometheus text encoder. Everything is stdlib-only
 // and allocation-disciplined — the tracing fast path (an untraced
 // request) costs a context probe and a few clock reads, and a traced
 // request reuses sync.Pool-backed records, so the server's
@@ -17,7 +18,6 @@ package obs
 
 import (
 	"strconv"
-	"sync/atomic"
 	"time"
 )
 
@@ -70,103 +70,21 @@ func StageByName(name string) (Stage, bool) {
 	return 0, false
 }
 
-// StageSet is the always-on per-stage latency registry: one lock-free
-// histogram per Stage, sharing the server's latency bucket bounds so
-// stage costs and route latencies read on the same scale. All methods
-// are safe for concurrent use; Observe is a handful of atomic adds.
-type StageSet struct {
-	bounds     []float64 // upper bounds, seconds, ascending
-	boundNanos []int64   // the same bounds in nanoseconds, precomputed
-	hists      [NumStages]stageHist
-}
-
-// stageHist is one stage's histogram: counts[i] is bucket i (≤
-// bounds[i]), over counts beyond the last bound. Sums and maxima are
-// kept in nanoseconds so Observe never touches floating point.
-type stageHist struct {
-	counts []atomic.Int64
-	over   atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-	max    atomic.Int64
-}
-
-// NewStageSet builds a registry on the given ascending bucket bounds
-// (seconds). The bounds slice is copied.
-func NewStageSet(bounds []float64) *StageSet {
-	s := &StageSet{
-		bounds:     append([]float64(nil), bounds...),
-		boundNanos: make([]int64, len(bounds)),
-	}
-	for i, b := range bounds {
-		s.boundNanos[i] = int64(b * float64(time.Second))
-	}
-	for i := range s.hists {
-		s.hists[i].counts = make([]atomic.Int64, len(bounds))
-	}
-	return s
-}
-
-// Bounds returns a copy of the bucket upper bounds, in seconds.
-func (s *StageSet) Bounds() []float64 {
-	return append([]float64(nil), s.bounds...)
-}
+// StageSet is the always-on per-stage latency registry: one Hist per
+// Stage, on the same LatencyBounds as the route histograms so stage costs
+// and route latencies read on the same scale. The zero value is ready;
+// Observe is a handful of atomic adds.
+type StageSet [NumStages]Hist
 
 // Observe records one stage duration. Nil-safe so callers need no guard.
 func (s *StageSet) Observe(st Stage, d time.Duration) {
 	if s == nil || int(st) >= NumStages {
 		return
 	}
-	h := &s.hists[st]
-	n := int64(d)
-	if n < 0 {
-		n = 0
-	}
-	placed := false
-	for i, bound := range s.boundNanos {
-		if n <= bound {
-			h.counts[i].Add(1)
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		h.over.Add(1)
-	}
-	h.count.Add(1)
-	h.sum.Add(n)
-	for {
-		old := h.max.Load()
-		if n <= old || h.max.CompareAndSwap(old, n) {
-			break
-		}
-	}
+	s[st].Observe(d)
 }
 
-// StageSnapshot is one stage's histogram at a point in time. Counts has
-// one entry per bound; Over counts observations beyond the last bound.
-type StageSnapshot struct {
-	Counts     []int64
-	Over       int64
-	Count      int64
-	SumSeconds float64
-	MaxSeconds float64
-}
-
-// Snapshot copies one stage's histogram. The loads are not mutually
-// atomic — a concurrent Observe can make Count lead the buckets by one
-// — which is the usual (and harmless) scrape-time skew.
-func (s *StageSet) Snapshot(st Stage) StageSnapshot {
-	h := &s.hists[st]
-	snap := StageSnapshot{
-		Counts:     make([]int64, len(h.counts)),
-		Over:       h.over.Load(),
-		Count:      h.count.Load(),
-		SumSeconds: float64(h.sum.Load()) / float64(time.Second),
-		MaxSeconds: float64(h.max.Load()) / float64(time.Second),
-	}
-	for i := range h.counts {
-		snap.Counts[i] = h.counts[i].Load()
-	}
-	return snap
+// Snapshot copies one stage's histogram.
+func (s *StageSet) Snapshot(st Stage) HistSnap {
+	return s[st].Snapshot()
 }

@@ -23,26 +23,25 @@ func TestStageNamesRoundTrip(t *testing.T) {
 }
 
 func TestStageSetObserve(t *testing.T) {
-	s := NewStageSet([]float64{0.001, 0.01, 0.1})
-	s.Observe(StageDecode, 500*time.Microsecond) // bucket 0
-	s.Observe(StageDecode, 5*time.Millisecond)   // bucket 1
-	s.Observe(StageDecode, 5*time.Millisecond)   // bucket 1
-	s.Observe(StageDecode, time.Second)          // overflow
+	s := new(StageSet)
+	s.Observe(StageDecode, 50*time.Microsecond) // bucket 0 (≤ 100 µs)
+	s.Observe(StageDecode, 4*time.Millisecond)  // bucket 5 (≤ 5 ms)
+	s.Observe(StageDecode, 4*time.Millisecond)  // bucket 5
+	s.Observe(StageDecode, 20*time.Second)      // overflow
 
 	snap := s.Snapshot(StageDecode)
-	if want := []int64{1, 2, 0}; len(snap.Counts) != 3 ||
-		snap.Counts[0] != want[0] || snap.Counts[1] != want[1] || snap.Counts[2] != want[2] {
+	want := [NumBuckets]int64{0: 1, 5: 2}
+	if snap.Counts != want {
 		t.Fatalf("counts = %v, want %v", snap.Counts, want)
 	}
 	if snap.Over != 1 || snap.Count != 4 {
 		t.Fatalf("over = %d count = %d, want 1, 4", snap.Over, snap.Count)
 	}
-	wantSum := 0.0005 + 0.005 + 0.005 + 1
-	if diff := snap.SumSeconds - wantSum; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("sum = %v, want %v", snap.SumSeconds, wantSum)
+	if wantSum := 50*time.Microsecond + 8*time.Millisecond + 20*time.Second; snap.Sum != wantSum {
+		t.Fatalf("sum = %v, want %v", snap.Sum, wantSum)
 	}
-	if snap.MaxSeconds != 1 {
-		t.Fatalf("max = %v, want 1", snap.MaxSeconds)
+	if snap.Max != 20*time.Second {
+		t.Fatalf("max = %v, want 20s", snap.Max)
 	}
 
 	// Untouched stages must read as empty, and other stages must not
@@ -52,28 +51,15 @@ func TestStageSetObserve(t *testing.T) {
 	}
 
 	// Boundary: an observation exactly at a bound lands in that bound's
-	// bucket (le semantics).
+	// bucket (le semantics), one nanosecond more in the next.
 	s.Observe(StageEncode, time.Millisecond)
-	if got := s.Snapshot(StageEncode); got.Counts[0] != 1 {
-		t.Fatalf("boundary observation landed in %v", got.Counts)
+	s.Observe(StageEncode, time.Millisecond+1)
+	if got := s.Snapshot(StageEncode); got.Counts[3] != 1 || got.Counts[4] != 1 {
+		t.Fatalf("boundary observations landed in %v", got.Counts)
 	}
 }
 
 func TestStageSetNilSafe(t *testing.T) {
 	var s *StageSet
 	s.Observe(StageDecode, time.Second) // must not panic
-}
-
-func TestStageSetBoundsCopied(t *testing.T) {
-	in := []float64{1, 2}
-	s := NewStageSet(in)
-	in[0] = 99
-	if b := s.Bounds(); b[0] != 1 {
-		t.Fatalf("bounds aliased the caller's slice: %v", b)
-	}
-	b := s.Bounds()
-	b[1] = 99
-	if s.Bounds()[1] != 2 {
-		t.Fatal("Bounds returned an aliased slice")
-	}
 }

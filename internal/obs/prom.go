@@ -156,3 +156,8 @@ func (e *PromEnc) beginSuffixed(name, suffix string) {
 	e.B = append(e.B, suffix...)
 	e.inLabels = false
 }
+
+// Hist writes one HistSnap as a histogram series on LatencyBounds.
+func (e *PromEnc) Hist(name, labelKey, labelValue string, h *HistSnap) {
+	e.Histogram(name, labelKey, labelValue, LatencyBounds[:], h.Counts[:], h.Over, h.Sum.Seconds())
+}

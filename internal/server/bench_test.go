@@ -8,6 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"balarch/internal/obs"
 )
 
 // benchRequest drives one request through the full middleware stack and
@@ -185,6 +188,21 @@ func BenchmarkPromExposition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.do()
+	}
+}
+
+// BenchmarkObserve measures one request's share of the always-on
+// instrumentation: the route histogram and status class (Metrics.Observe)
+// plus one stage histogram (StageSet.Observe) — lock-free atomics on the
+// hot path of every request, gated in CI at zero allocations.
+func BenchmarkObserve(b *testing.B) {
+	s := New(Options{})
+	m, st := s.Metrics(), s.Stages()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Observe("POST /v1/analyze", http.StatusOK, 57*time.Microsecond)
+		st.Observe(obs.StageCompute, 3*time.Microsecond)
 	}
 }
 

@@ -13,7 +13,12 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"balarch/internal/obs"
 )
+
+// latencyBuckets are the bounds every node histogram is bucketed on.
+var latencyBuckets = obs.LatencyBounds[:]
 
 // keySet returns the sorted key list of a JSON object.
 func keySet(t *testing.T, obj map[string]json.RawMessage) []string {
@@ -130,73 +135,6 @@ func TestMetricsSchemaPinned(t *testing.T) {
 	}
 	if snap.CacheHits != 1 || snap.CacheMisses != 1 {
 		t.Errorf("cache counters = %d hits / %d misses, want 1/1", snap.CacheHits, snap.CacheMisses)
-	}
-}
-
-// TestHistogramQuantile pins the estimator the server and the load
-// generator share.
-func TestHistogramQuantile(t *testing.T) {
-	bounds := []float64{0.001, 0.01, 0.1}
-	counts := []int64{90, 9, 0}
-	if got := HistogramQuantile(0.50, bounds, counts, 0, 0.0009); got != 0.001 {
-		t.Errorf("p50 = %v, want 0.001", got)
-	}
-	if got := HistogramQuantile(0.99, bounds, counts, 0, 0.009); got != 0.01 {
-		t.Errorf("p99 = %v, want 0.01", got)
-	}
-	// Overflow region reports the exact max.
-	if got := HistogramQuantile(0.99, bounds, []int64{1, 0, 0}, 99, 7.5); got != 7.5 {
-		t.Errorf("overflow quantile = %v, want 7.5", got)
-	}
-	// Empty histogram reports zero.
-	if got := HistogramQuantile(0.5, bounds, []int64{0, 0, 0}, 0, 0); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
-}
-
-// TestHistogramQuantileNearestRank pins the ceiling-rank semantics over
-// small counts, where the seed's truncated rank visibly lied: the q-th
-// quantile of n observations is the ⌈q·n⌉-th order statistic, so the p95
-// of 10 one-per-bucket samples is the 10th — not the 9th.
-func TestHistogramQuantileNearestRank(t *testing.T) {
-	// Ten observations, one per bucket: the order statistics ARE the
-	// bounds, so every golden is exact.
-	bounds := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	ones := []int64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0.95, 10}, // ⌈0.95·10⌉ = 10th; truncation said 9th
-		{0.90, 9},  // ⌈9⌉ = 9th: exact product stays exact
-		{0.50, 5},  // ⌈5⌉ = 5th
-		{0.45, 5},  // ⌈4.5⌉ = 5th; truncation said 4th
-		{0.10, 1},
-		{0.05, 1}, // ⌈0.5⌉ = 1st
-		{0, 1},    // clamped up to the 1st
-		{1, 10},
-	}
-	for _, c := range cases {
-		if got := HistogramQuantile(c.q, bounds, ones, 0, 10); got != c.want {
-			t.Errorf("q=%v of 10 one-per-bucket samples = %v, want %v", c.q, got, c.want)
-		}
-	}
-
-	// Three observations: p95 must be the 3rd (⌈2.85⌉), not the 2nd.
-	three := []int64{1, 1, 1, 0, 0, 0, 0, 0, 0, 0}
-	if got := HistogramQuantile(0.95, bounds, three, 0, 3); got != 3 {
-		t.Errorf("p95 of 3 samples = %v, want the 3rd order statistic 3", got)
-	}
-	// A single observation is every quantile.
-	one := []int64{0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := HistogramQuantile(q, bounds, one, 0, 2); got != 2 {
-			t.Errorf("q=%v of 1 sample = %v, want 2", q, got)
-		}
-	}
-	// q=1 with overflow lands in the overflow region: the exact max.
-	if got := HistogramQuantile(1, bounds, three, 1, 42); got != 42 {
-		t.Errorf("q=1 with overflow = %v, want max 42", got)
 	}
 }
 

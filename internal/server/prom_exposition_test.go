@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"balarch/internal/obs"
 )
@@ -457,5 +458,24 @@ func TestMetricsFormatFallback(t *testing.T) {
 	}
 	if !strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
 		t.Errorf("format=bogus Content-Type = %q, want JSON", w.Header().Get("Content-Type"))
+	}
+}
+
+// TestPromStatusClassesOneSeriesEach: status classes outside 2xx–5xx all
+// count as "other", and the exposition carries one series per class name
+// — two distinct odd classes must not render two "other" samples, which a
+// scraper rejects as a duplicate series.
+func TestPromStatusClassesOneSeriesEach(t *testing.T) {
+	s, h := newTestHandler(Options{})
+	s.Metrics().Observe("GET /healthz", 101, time.Millisecond)
+	s.Metrics().Observe("GET /healthz", 700, time.Millisecond)
+	s.Metrics().Observe("GET /healthz", 200, time.Millisecond)
+	samples, _ := parsePromStrict(t, promBody(t, h))
+	if got := series(t, samples, "balarch_responses_total", map[string]string{"class": "other"}); got != 2 {
+		t.Errorf("other responses_total = %v, want 2", got)
+	}
+	_, decoded := doJSON(t, h, "GET", "/metrics", "")
+	if got := decoded["responses_by_status_class"].(map[string]any)["other"]; got != 2.0 {
+		t.Errorf("JSON other = %v, want 2", got)
 	}
 }

@@ -139,8 +139,8 @@ type Server struct {
 	maxMemoryDefault float64
 
 	// tracer captures request traces; stages is the always-on per-stage
-	// latency registry (internal/obs), on the same bucket bounds as the
-	// route histograms.
+	// latency registry (internal/obs), on the same bucket bounds as every
+	// other latency histogram.
 	tracer *obs.Tracer
 	stages *obs.StageSet
 
@@ -189,7 +189,7 @@ func New(opts Options) *Server {
 		maxMemoryDefault: 1e18,
 		events:           newEventBus(0),
 		tracer:           obs.NewTracer(obs.TracerOptions{SampleEvery: opts.TraceSampleEvery}),
-		stages:           obs.NewStageSet(latencyBuckets),
+		stages:           new(obs.StageSet),
 	}
 	if opts.Tenants != nil {
 		if err := opts.Tenants.Validate(); err != nil {
@@ -973,56 +973,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.handleMetricsProm(w)
 		return
 	}
-	snap := s.metrics.Snapshot()
-	// The async subsystem's gauges ride the same snapshot; a
-	// jobs-disabled server reports them as zeros so the key set — pinned
-	// by TestMetricsSchemaPinned — never varies by configuration.
-	if s.store != nil {
-		st := s.store.Stats()
-		snap.StoreHits = st.Hits
-		snap.StoreMisses = st.Misses
-		snap.StoreBytes = st.Bytes
-		snap.StoreEntries = st.Entries
-	}
-	if s.queue != nil {
-		c := s.queue.Counters()
-		snap.JobsQueued = c.Queued
-		snap.JobsRunning = c.Running
-		snap.JobsDone = c.Done
-		snap.JobsFailed = c.Failed
-		snap.JobsCanceled = c.Canceled
-		snap.JobsReplayed = c.Replayed
-		sc := s.queue.SchedCounters()
-		snap.SchedPolicy = sc.Policy
-		snap.SchedPicks = sc.Picks
-		snap.SchedSkips = sc.Skips
-		snap.SchedMaxWaitPicks = sc.MaxWaitPicks
-		snap.SchedDrainBPS = sc.DrainBPS
-		snap.SchedRunningBytes = sc.RunningBytes
-		snap.SchedSelfState = sc.SelfState
-		// Per-tenant job-memory and scheduler gauges join the tenancy
-		// counters. Only preregistered names are filled — the snapshot's
-		// key set stays bounded by the config whatever the queue has
-		// seen.
-		if snap.Tenants != nil {
-			for name, tc := range s.queue.TenantCounters() {
-				ts, ok := snap.Tenants[name]
-				if !ok {
-					continue
-				}
-				ts.JobMemInUse = tc.MemInUseBytes
-				ts.JobMemBudget = tc.MemBudgetBytes
-				snap.Tenants[name] = ts
-			}
-			for name, served := range sc.ServedByTenant {
-				ts, ok := snap.Tenants[name]
-				if !ok {
-					continue
-				}
-				ts.SchedServed = served
-				snap.Tenants[name] = ts
-			}
-		}
-	}
-	writeJSON(w, snap)
+	snap := s.collect()
+	writeJSON(w, &snap)
 }
