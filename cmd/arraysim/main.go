@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"balarch/internal/array"
@@ -19,23 +20,30 @@ import (
 	"balarch/internal/textplot"
 )
 
-// main parses the array flags, sweeps the array size, prints the per-PE
-// balance memory table for the chosen topology and workload, and exits 0
-// (2 on bad flags).
-func main() {
-	topology := flag.String("topology", "linear", "linear or mesh")
-	workload := flag.String("workload", "matmul", "matmul, grid2, grid3, or fft")
-	n := flag.Int("n", 2048, "problem size (matrix dim, grid side, FFT points)")
-	pmax := flag.Int("pmax", 16, "largest array size to sweep (powers of two)")
-	cellC := flag.Float64("cellc", 4e6, "per-cell computation bandwidth (ops/s)")
-	cellIO := flag.Float64("cellio", 1e6, "per-cell link bandwidth (words/s)")
-	maxMem := flag.Int("maxmem", 1<<16, "per-PE memory search ceiling (words)")
-	tol := flag.Float64("tol", 0.05, "utilization tolerance for calling the array balanced")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses the array flags, sweeps the array size and prints the per-PE
+// balance memory table for the chosen topology and workload. A size whose
+// search fails is reported on stderr and skipped. It returns the exit
+// code: 0, or 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("arraysim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topology := fs.String("topology", "linear", "linear or mesh")
+	workload := fs.String("workload", "matmul", "matmul, grid2, grid3, or fft")
+	n := fs.Int("n", 2048, "problem size (matrix dim, grid side, FFT points)")
+	pmax := fs.Int("pmax", 16, "largest array size to sweep (powers of two)")
+	cellC := fs.Float64("cellc", 4e6, "per-cell computation bandwidth (ops/s)")
+	cellIO := fs.Float64("cellio", 1e6, "per-cell link bandwidth (words/s)")
+	maxMem := fs.Int("maxmem", 1<<16, "per-PE memory search ceiling (words)")
+	tol := fs.Float64("tol", 0.05, "utilization tolerance for calling the array balanced")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	w, err := pickWorkload(*workload, *n)
 	if err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
 	var ladder []int
 	for m := 4; m <= *maxMem; m *= 2 {
@@ -43,7 +51,7 @@ func main() {
 	}
 	cell := model.PE{C: *cellC, IO: *cellIO, M: 1}
 
-	fmt.Printf("topology=%s workload=%s cell intensity C/IO=%.3g\n\n", *topology, w.Name(), cell.Intensity())
+	fmt.Fprintf(stdout, "topology=%s workload=%s cell intensity C/IO=%.3g\n\n", *topology, w.Name(), cell.Intensity())
 	tb := textplot.NewTable("p", "cells", "aggregate C/IO", "per-PE balance memory", "compute util")
 	for p := 1; p <= *pmax; p *= 2 {
 		var rates machine.Rates
@@ -57,16 +65,17 @@ func main() {
 			arr := array.MeshArray{P: p, Cell: cell}
 			rates, cells, alpha = arr.Rates(), arr.Cells(), arr.Aggregate().Intensity()
 		default:
-			fatal(fmt.Errorf("unknown topology %q", *topology))
+			return fatal(stderr, fmt.Errorf("unknown topology %q", *topology))
 		}
 		bp, err := array.FindBalancedMemory(rates, cells, w, ladder, *tol)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "p=%d: %v\n", p, err)
+			fmt.Fprintf(stderr, "p=%d: %v\n", p, err)
 			continue
 		}
 		tb.AddRow(p, cells, alpha, bp.PerPEMemory, fmt.Sprintf("%.3f", bp.Metrics.ComputeUtilization()))
 	}
-	fmt.Print(tb.String())
+	fmt.Fprint(stdout, tb.String())
+	return 0
 }
 
 func pickWorkload(name string, n int) (array.Workload, error) {
@@ -84,7 +93,7 @@ func pickWorkload(name string, n int) (array.Workload, error) {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "arraysim:", err)
-	os.Exit(2)
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "arraysim:", err)
+	return 2
 }

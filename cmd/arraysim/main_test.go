@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestPickWorkload(t *testing.T) {
 	for _, name := range []string{"matmul", "grid2", "grid3", "fft"} {
@@ -15,5 +18,33 @@ func TestPickWorkload(t *testing.T) {
 	}
 	if _, err := pickWorkload("raytrace", 64); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestRunReportsNonFiniteRatesAndMovesOn: a subnormal link bandwidth passes
+// rate validation but overflows the transfer times; each array size reports
+// the failing step on stderr and the sweep goes on to the next size.
+func TestRunReportsNonFiniteRatesAndMovesOn(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := run([]string{"-cellio", "1e-320", "-pmax", "2", "-n", "64", "-maxmem", "64"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	for _, p := range []string{"p=1: ", "p=2: "} {
+		if !strings.Contains(stderr.String(), p+"machine: step 0: input duration +Inf is not finite") {
+			t.Errorf("stderr lacks the %s step error:\n%s", p, stderr.String())
+		}
+	}
+	if !strings.Contains(stdout.String(), "per-PE balance memory") {
+		t.Errorf("no table on stdout:\n%s", stdout.String())
+	}
+}
+
+func TestRunBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-nope"}, {"-workload", "raytrace"}, {"-topology", "torus"}} {
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 }

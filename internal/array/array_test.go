@@ -273,3 +273,52 @@ func arrayLadderLocal(max int) []int {
 	}
 	return ladder
 }
+
+// TestLinearArrayMatchesRebalanceLaw is the α-law oracle on a grid of
+// machines: a p-cell linear array raises C/IO by α = p at a fixed boundary
+// bandwidth, so its simulated aggregate balance memory must sit within one
+// ladder rung of Computation.Rebalance(p, m₁), where m₁ is the simulated
+// single-cell balance memory of the same cell.
+func TestLinearArrayMatchesRebalanceLaw(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 24 balance searches")
+	}
+	ladder := []int{4}
+	for len(ladder) < 14 {
+		ladder = append(ladder, 2*ladder[len(ladder)-1])
+	}
+	cases := []struct {
+		w    Workload
+		comp model.Computation
+	}{
+		{MatMulWorkload{N: 2048}, model.MatrixMultiplication()},
+		{GridWorkload{Dim: 2, Size: 1024, Iters: 2}, model.Grid(2)},
+	}
+	for _, c := range cases {
+		for _, intensity := range []float64{2, 4, 8} {
+			cell := model.PE{C: intensity * 1e6, IO: 1e6, M: 1}
+			find := func(p int) int {
+				arr := LinearArray{P: p, Cell: cell}
+				bp, err := FindBalancedMemory(arr.Rates(), p, c.w, ladder, 0.05)
+				if err != nil {
+					t.Fatalf("%s, intensity %v, p=%d: %v", c.w.Name(), intensity, p, err)
+				}
+				return bp.AggregateMemory
+			}
+			m1 := find(1)
+			for _, p := range []int{2, 4, 8, 16} {
+				want, err := c.comp.Rebalance(float64(p), float64(m1), 1<<40)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := find(p)
+				// Adjacent rungs differ by 2× per cell, so one rung
+				// is a factor of 2 in aggregate memory either way.
+				if r := float64(got) / want; r < 0.5 || r > 2 {
+					t.Errorf("%s, intensity %v, p=%d: aggregate balance memory %d, Rebalance(%d, %d) = %.0f",
+						c.w.Name(), intensity, p, got, p, m1, want)
+				}
+			}
+		}
+	}
+}

@@ -1,20 +1,25 @@
 package machine
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestSimulatorOrdersEvents(t *testing.T) {
-	s := NewSimulator()
+	var h events
+	h.at(3, inputDone, 3)
+	h.at(1, inputDone, 1)
+	h.at(2, computeDone, 2)
 	var order []int
-	s.At(3, func() { order = append(order, 3) })
-	s.At(1, func() { order = append(order, 1) })
-	s.At(2, func() { order = append(order, 2) })
-	end := s.Run()
-	if end != 3 {
-		t.Errorf("end time = %v, want 3", end)
+	for len(h.q) > 0 {
+		order = append(order, h.pop().k)
+	}
+	if h.now != 3 {
+		t.Errorf("end time = %v, want 3", h.now)
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
@@ -22,26 +27,30 @@ func TestSimulatorOrdersEvents(t *testing.T) {
 }
 
 func TestSimulatorTieBreakFIFO(t *testing.T) {
-	s := NewSimulator()
-	var order []int
-	s.At(1, func() { order = append(order, 0) })
-	s.At(1, func() { order = append(order, 1) })
-	s.Run()
-	if order[0] != 0 || order[1] != 1 {
-		t.Errorf("simultaneous events not FIFO: %v", order)
+	var h events
+	for k := range 5 {
+		h.at(1, computeDone, k)
+	}
+	for want := range 5 {
+		if k := h.pop().k; k != want {
+			t.Fatalf("simultaneous events not FIFO: popped %d, want %d", k, want)
+		}
 	}
 }
 
 func TestSimulatorNestedScheduling(t *testing.T) {
-	s := NewSimulator()
+	var h events
+	h.at(1, inputDone, 0)
 	var fired []float64
-	s.At(1, func() {
-		fired = append(fired, s.Now())
-		s.After(2, func() { fired = append(fired, s.Now()) })
-	})
-	end := s.Run()
-	if end != 3 || len(fired) != 2 || fired[1] != 3 {
-		t.Errorf("nested scheduling wrong: end=%v fired=%v", end, fired)
+	for len(h.q) > 0 {
+		e := h.pop()
+		fired = append(fired, h.now)
+		if e.kind == inputDone {
+			h.at(h.now+2, computeDone, 0)
+		}
+	}
+	if h.now != 3 || len(fired) != 2 || fired[1] != 3 {
+		t.Errorf("nested scheduling wrong: end=%v fired=%v", h.now, fired)
 	}
 }
 
@@ -51,29 +60,42 @@ func TestSimulatorPanicsOnPast(t *testing.T) {
 			t.Fatal("scheduling into the past did not panic")
 		}
 	}()
-	s := NewSimulator()
-	s.At(5, func() { s.At(1, func() {}) })
-	s.Run()
+	var h events
+	h.at(5, inputDone, 0)
+	h.pop()
+	h.at(1, inputDone, 0)
+}
+
+// TestPipelineTieArbitrationFIFO: steps 1 and 2 finish their inputs at the
+// same instant (step 2's input is empty), and the compute unit serves them
+// in scheduling order. Served the other way round, step 2's long output
+// would start at 3 and the makespan would be 9.
+func TestPipelineTieArbitrationFIFO(t *testing.T) {
+	steps := []Step{{InWords: 1, Ops: 1}, {InWords: 1, Ops: 5, OutWords: 1}, {Ops: 1, OutWords: 3}}
+	m, err := RunPipelineBuffered(Rates{ComputeOps: 1, IOWords: 1}, steps, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Metrics{Makespan: 11, ComputeBusy: 7, IOBusy: 6, Steps: 3}); m != want {
+		t.Errorf("metrics = %+v, want %+v", m, want)
+	}
 }
 
 func TestServerSerializes(t *testing.T) {
-	sv := NewServer("x")
-	s1, e1 := sv.Reserve(0, 10)
-	if s1 != 0 || e1 != 10 {
-		t.Errorf("first reservation (%v,%v)", s1, e1)
+	var u unit
+	if e1 := u.reserve(0, 10); e1 != 10 {
+		t.Errorf("first reservation ends %v, want 10", e1)
 	}
-	// Requested at 5 but server busy until 10.
-	s2, e2 := sv.Reserve(5, 3)
-	if s2 != 10 || e2 != 13 {
-		t.Errorf("second reservation (%v,%v), want (10,13)", s2, e2)
+	// Requested at 5 but the unit is busy until 10.
+	if e2 := u.reserve(5, 3); e2 != 13 {
+		t.Errorf("second reservation ends %v, want 13", e2)
 	}
 	// Idle gap allowed.
-	s3, _ := sv.Reserve(20, 1)
-	if s3 != 20 {
-		t.Errorf("third reservation start %v, want 20", s3)
+	if e3 := u.reserve(20, 1); e3 != 21 {
+		t.Errorf("third reservation ends %v, want 21", e3)
 	}
-	if sv.BusyTotal() != 14 {
-		t.Errorf("BusyTotal = %v, want 14", sv.BusyTotal())
+	if u.busyTotal != 14 {
+		t.Errorf("busyTotal = %v, want 14", u.busyTotal)
 	}
 }
 
@@ -297,3 +319,233 @@ func TestBuffersMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBuffersBeyondStepsClamp: a buffer count past the step count, up to
+// math.MaxInt, runs exactly like one buffer per step.
+func TestBuffersBeyondStepsClamp(t *testing.T) {
+	rates := Rates{ComputeOps: 3, IOWords: 2}
+	steps := []Step{{4, 9, 1}, {2, 1, 5}, {7, 3, 0}, {1, 8, 2}}
+	want, err := RunPipelineBuffered(rates, steps, len(steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{len(steps) + 1, math.MaxInt - 1, math.MaxInt} {
+		got, err := RunPipelineBuffered(rates, steps, b)
+		if err != nil || got != want {
+			t.Errorf("buffers=%d: %+v, %v; want %+v", b, got, err, want)
+		}
+	}
+}
+
+// TestNonFiniteDurationIsAnError: a subnormal I/O rate passes Validate but
+// overflows a large step's transfer time to +Inf; both runners report the
+// step and phase instead of panicking or returning an infinite makespan.
+func TestNonFiniteDurationIsAnError(t *testing.T) {
+	rates := Rates{ComputeOps: 1, IOWords: 1e-320}
+	if err := rates.Validate(); err != nil {
+		t.Fatalf("subnormal rate rejected by Validate: %v", err)
+	}
+	steps := []Step{{InWords: 0, Ops: 1}, {InWords: 1 << 40, Ops: 1, OutWords: 1}}
+	for name, run := range map[string]func(Rates, []Step) (Metrics, error){
+		"RunPipeline": RunPipeline,
+		"RunSerial":   RunSerial,
+	} {
+		m, err := run(rates, steps)
+		if err == nil {
+			t.Errorf("%s: no error, metrics %+v", name, m)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "step 1") || !strings.Contains(msg, "input") {
+			t.Errorf("%s: error %q does not name step 1's input", name, msg)
+		}
+	}
+	// The compute phase is checked too.
+	huge := Rates{ComputeOps: 1e-320, IOWords: 1}
+	for _, b := range []int{1, 2, 4} {
+		if _, err := RunPipelineBuffered(huge, []Step{{1, 1 << 40, 1}}, b); err == nil || !strings.Contains(err.Error(), "compute") {
+			t.Errorf("buffers=%d: compute overflow gave %v", b, err)
+		}
+	}
+}
+
+// TestPipelineMatchesClosureOracle is the differential property test: the
+// typed-event loop returns Metrics equal (==, bit for bit) to the closure
+// implementation it replaced, kept below as runPipelineClosures. Small
+// integer words and rates make simultaneous events common, so FIFO
+// arbitration on ties is exercised.
+func TestPipelineMatchesClosureOracle(t *testing.T) {
+	rng := newRand(18)
+	const runs = 12000
+	for i := range runs {
+		steps := make([]Step, rng()%61)
+		for k := range steps {
+			steps[k] = Step{InWords: rng() % 5, Ops: rng() % 9, OutWords: rng() % 5}
+		}
+		rates := Rates{ComputeOps: float64(1 + rng()%4), IOWords: float64(1 + rng()%4)}
+		buffers := 1 + int(rng()%4)
+		if i%50 == 0 {
+			buffers = len(steps) + 1 // one heap entry per step
+		}
+		got, err := RunPipelineBuffered(rates, steps, buffers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := runPipelineClosures(rates, steps, buffers); got != want {
+			t.Fatalf("run %d (rates %+v, buffers %d, steps %v): got %+v, oracle %+v",
+				i, rates, buffers, steps, got, want)
+		}
+	}
+}
+
+// TestRunPipelineAllocsConstant: the run allocates the same at 100 steps as
+// at 100k, so per-step events cost no allocation.
+func TestRunPipelineAllocsConstant(t *testing.T) {
+	rates := Rates{ComputeOps: 4, IOWords: 1}
+	allocs := func(n int) float64 {
+		steps := uniformSteps(n)
+		return testing.AllocsPerRun(5, func() { pipelineSink, _ = RunPipeline(rates, steps) })
+	}
+	if small, large := allocs(100), allocs(100_000); small != large {
+		t.Errorf("allocs/run: %v at 100 steps, %v at 100k", small, large)
+	}
+}
+
+var pipelineSink Metrics
+
+func uniformSteps(n int) []Step {
+	steps := make([]Step, n)
+	for i := range steps {
+		steps[i] = Step{InWords: 64, Ops: 256, OutWords: 16}
+	}
+	return steps
+}
+
+// BenchmarkRunPipeline is one double-buffered run of 100k uniform steps.
+func BenchmarkRunPipeline(b *testing.B) {
+	rates := Rates{ComputeOps: 4, IOWords: 1}
+	steps := uniformSteps(100_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		pipelineSink, _ = RunPipeline(rates, steps)
+	}
+}
+
+// runPipelineClosures is the closure-and-container/heap implementation of
+// RunPipelineBuffered that the typed-event loop replaced, kept verbatim
+// (engine types renamed) as the reference for
+// TestPipelineMatchesClosureOracle. It assumes finite durations.
+func runPipelineClosures(rates Rates, steps []Step, buffers int) Metrics {
+	metrics := Metrics{Steps: len(steps)}
+	if len(steps) == 0 {
+		return metrics
+	}
+	sim := newOracleSim()
+	compute := newOracleServer("compute")
+	computeFree := 0.0 // end of the latest compute, k strictly increasing
+	channel := newOracleServer("io")
+
+	var inputEligible func(k int)
+	inputEligible = func(k int) {
+		st := steps[k]
+		_, inEnd := channel.Reserve(sim.Now(), float64(st.InWords)/rates.IOWords)
+		sim.At(inEnd, func() {
+			// Compute after our input (now) and the previous compute.
+			start := math.Max(sim.Now(), computeFree)
+			_, cEnd := compute.Reserve(start, float64(st.Ops)/rates.ComputeOps)
+			computeFree = cEnd
+			sim.At(cEnd, func() {
+				// Output on the shared channel; our buffer
+				// frees for step k+buffers.
+				channel.Reserve(sim.Now(), float64(st.OutWords)/rates.IOWords)
+				if k+buffers < len(steps) {
+					inputEligible(k + buffers)
+				}
+			})
+		})
+	}
+	for k := 0; k < buffers && k < len(steps); k++ {
+		inputEligible(k)
+	}
+	sim.Run()
+
+	// The run ends when both servers drain.
+	metrics.Makespan = math.Max(compute.busyUntil, channel.busyUntil)
+	metrics.ComputeBusy = compute.BusyTotal()
+	metrics.IOBusy = channel.BusyTotal()
+	return metrics
+}
+
+// The generic discrete-event engine the closure implementation ran on.
+
+type oracleEvent struct {
+	at  float64
+	seq int64 // tie-break for deterministic ordering
+	fn  func()
+}
+
+type oracleQueue []*oracleEvent
+
+func (q oracleQueue) Len() int { return len(q) }
+func (q oracleQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q oracleQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *oracleQueue) Push(x interface{}) { *q = append(*q, x.(*oracleEvent)) }
+func (q *oracleQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	*q = old[:n-1]
+	return e
+}
+
+type oracleSim struct {
+	now   float64
+	seq   int64
+	queue oracleQueue
+}
+
+func newOracleSim() *oracleSim { return &oracleSim{} }
+
+func (s *oracleSim) Now() float64 { return s.now }
+
+func (s *oracleSim) At(t float64, fn func()) {
+	if t < s.now {
+		panic(fmt.Sprintf("machine: scheduling into the past (%v < %v)", t, s.now))
+	}
+	s.seq++
+	heap.Push(&s.queue, &oracleEvent{at: t, seq: s.seq, fn: fn})
+}
+
+func (s *oracleSim) Run() float64 {
+	for s.queue.Len() > 0 {
+		e := heap.Pop(&s.queue).(*oracleEvent)
+		s.now = e.at
+		e.fn()
+	}
+	return s.now
+}
+
+type oracleServer struct {
+	name      string
+	busyUntil float64
+	busyTotal float64
+}
+
+func newOracleServer(name string) *oracleServer { return &oracleServer{name: name} }
+
+func (sv *oracleServer) Reserve(earliest, duration float64) (start, end float64) {
+	if duration < 0 || math.IsNaN(duration) || math.IsInf(duration, 0) {
+		panic(fmt.Sprintf("machine: %s: invalid service duration %v", sv.name, duration))
+	}
+	start = math.Max(earliest, sv.busyUntil)
+	end = start + duration
+	sv.busyUntil = end
+	sv.busyTotal += duration
+	return start, end
+}
+
+func (sv *oracleServer) BusyTotal() float64 { return sv.busyTotal }

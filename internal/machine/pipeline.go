@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -80,10 +81,11 @@ func (m Metrics) IOBound(tol float64) bool {
 //	compute(k) starts after input(k) completes and compute(k-1) finishes
 //	output(k)  becomes eligible when compute(k) finishes
 //
-// The run is executed as a discrete-event simulation so channel arbitration
-// happens in arrival order, letting input(k+1) slip in front of output(k)
-// when it became eligible earlier — exactly how a double-buffered DMA engine
-// behaves.
+// The run processes input-done and compute-done events in time order so
+// channel arbitration happens in arrival order, letting input(k+1) slip in
+// front of output(k) when it became eligible earlier — exactly how a
+// double-buffered DMA engine behaves. A step whose phase duration is not
+// finite is an error.
 func RunPipeline(rates Rates, steps []Step) (Metrics, error) {
 	return RunPipelineBuffered(rates, steps, 2)
 }
@@ -103,58 +105,66 @@ func RunPipelineBuffered(rates Rates, steps []Step, buffers int) (Metrics, error
 		return Metrics{}, fmt.Errorf("machine: buffer count %d must be ≥ 1", buffers)
 	}
 	metrics := Metrics{Steps: len(steps)}
-	if len(steps) == 0 {
-		return metrics, nil
+	// More buffers than steps change nothing, and the clamp keeps
+	// k+buffers from overflowing.
+	buffers = min(buffers, len(steps))
+	var compute, channel unit
+	// At most one event per step holding a buffer is pending.
+	h := events{q: make([]event, 0, buffers)}
+	var err error
+	// reserve books u from now for step k's phase of n units at rate; the
+	// first non-finite duration stops the run.
+	reserve := func(u *unit, n uint64, rate float64, k int, phase string) float64 {
+		d, derr := phaseTime(n, rate, k, phase)
+		if err == nil {
+			err = derr
+		}
+		return u.reserve(h.now, d)
 	}
-	sim := NewSimulator()
-	compute := NewServer("compute")
-	computeFree := 0.0 // end of the latest compute, k strictly increasing
-	channel := NewServer("io")
-
-	var inputEligible func(k int)
-	inputEligible = func(k int) {
-		st := steps[k]
-		_, inEnd := channel.Reserve(sim.Now(), float64(st.InWords)/rates.IOWords)
-		sim.At(inEnd, func() {
+	for k := range buffers {
+		h.at(reserve(&channel, steps[k].InWords, rates.IOWords, k, "input"), inputDone, k)
+	}
+	for len(h.q) > 0 && err == nil {
+		e := h.pop()
+		if e.kind == inputDone {
 			// Compute after our input (now) and the previous compute.
-			start := math.Max(sim.Now(), computeFree)
-			_, cEnd := compute.Reserve(start, float64(st.Ops)/rates.ComputeOps)
-			computeFree = cEnd
-			sim.At(cEnd, func() {
-				// Output on the shared channel; our buffer
-				// frees for step k+buffers.
-				channel.Reserve(sim.Now(), float64(st.OutWords)/rates.IOWords)
-				if k+buffers < len(steps) {
-					inputEligible(k + buffers)
-				}
-			})
-		})
+			h.at(reserve(&compute, steps[e.k].Ops, rates.ComputeOps, e.k, "compute"), computeDone, e.k)
+			continue
+		}
+		// Output on the shared channel; our buffer frees for step
+		// k+buffers.
+		reserve(&channel, steps[e.k].OutWords, rates.IOWords, e.k, "output")
+		if k := e.k + buffers; k < len(steps) {
+			h.at(reserve(&channel, steps[k].InWords, rates.IOWords, k, "input"), inputDone, k)
+		}
 	}
-	for k := 0; k < buffers && k < len(steps); k++ {
-		inputEligible(k)
+	if err != nil {
+		return Metrics{}, err
 	}
-	sim.Run()
 
-	// The run ends when both servers drain.
+	// The run ends when both units drain.
 	metrics.Makespan = math.Max(compute.busyUntil, channel.busyUntil)
-	metrics.ComputeBusy = compute.BusyTotal()
-	metrics.IOBusy = channel.BusyTotal()
+	metrics.ComputeBusy = compute.busyTotal
+	metrics.IOBusy = channel.busyTotal
 	return metrics, nil
 }
 
 // RunSerial executes the steps with no overlap: each step reads, computes,
 // and writes before the next begins — the execution model of the paper's
-// balance definition, where a balanced PE splits its time equally.
+// balance definition, where a balanced PE splits its time equally. A step
+// whose phase duration is not finite is an error.
 func RunSerial(rates Rates, steps []Step) (Metrics, error) {
 	if err := rates.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	var m Metrics
-	m.Steps = len(steps)
-	for _, st := range steps {
-		tIn := float64(st.InWords) / rates.IOWords
-		tC := float64(st.Ops) / rates.ComputeOps
-		tOut := float64(st.OutWords) / rates.IOWords
+	m := Metrics{Steps: len(steps)}
+	for k, st := range steps {
+		tIn, err1 := phaseTime(st.InWords, rates.IOWords, k, "input")
+		tC, err2 := phaseTime(st.Ops, rates.ComputeOps, k, "compute")
+		tOut, err3 := phaseTime(st.OutWords, rates.IOWords, k, "output")
+		if err := cmp.Or(err1, err2, err3); err != nil {
+			return Metrics{}, err
+		}
 		m.IOBusy += tIn + tOut
 		m.ComputeBusy += tC
 		m.Makespan += tIn + tC + tOut

@@ -1,114 +1,104 @@
-// Package machine provides a small discrete-event simulator of the paper's
-// processing element (Fig. 1): a compute unit with bandwidth C operations
-// per second, an I/O channel with bandwidth IO words per second, and a local
-// memory that holds the working set between transfers. Computations are
-// presented as streams of macro-steps (read a block, compute on it, write a
-// block); the simulator executes them with double buffering — I/O of step
-// k+1 overlaps the computation of step k — and reports where the time went,
-// so balance is an observed property of a run rather than a formula.
+// Package machine simulates the paper's processing element (Fig. 1): a
+// compute unit with bandwidth C operations per second, an I/O channel with
+// bandwidth IO words per second, and a local memory that holds the working
+// set between transfers. Computations are presented as streams of
+// macro-steps (read a block, compute on it, write a block); RunPipeline
+// executes them as a typed-event double-buffered pipeline — I/O of step k+1
+// overlaps the computation of step k — and reports where the time went, so
+// balance is an observed property of a run rather than a formula.
 package machine
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
 
-// Event is a scheduled callback in virtual time.
+// Event kinds of the pipeline: step k's input transfer or its compute has
+// completed.
+const (
+	inputDone uint8 = iota
+	computeDone
+)
+
+// event is one completion in virtual time. seq is assigned in scheduling
+// order and breaks ties, so simultaneous events run first-scheduled first.
 type event struct {
-	at  float64
-	seq int64 // tie-break for deterministic ordering
-	fn  func()
+	at   float64
+	seq  int64
+	kind uint8
+	k    int
 }
 
-type eventQueue []*event
+func (e event) before(o event) bool { return e.at < o.at || e.at == o.at && e.seq < o.seq }
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// events is a binary min-heap of pending events ordered by (at, seq), with
+// the virtual clock: now is the time of the event popped last.
+type events struct {
+	q   []event
+	now float64
+	seq int64
+}
+
+// at schedules an event of the given kind for step k at time t ≥ now.
+func (h *events) at(t float64, kind uint8, k int) {
+	if t < h.now {
+		panic(fmt.Sprintf("machine: scheduling into the past (%v < %v)", t, h.now))
 	}
-	return q[i].seq < q[j].seq
+	h.seq++
+	h.q = append(h.q, event{at: t, seq: h.seq, kind: kind, k: k})
+	for i := len(h.q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.q[i].before(h.q[p]) {
+			break
+		}
+		h.q[i], h.q[p] = h.q[p], h.q[i]
+		i = p
+	}
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+
+// pop removes the earliest event and advances the clock to it.
+func (h *events) pop() event {
+	e := h.q[0]
+	n := len(h.q) - 1
+	h.q[0] = h.q[n]
+	h.q = h.q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && h.q[c+1].before(h.q[c]) {
+			c++
+		}
+		if c >= n || !h.q[c].before(h.q[i]) {
+			break
+		}
+		h.q[i], h.q[c] = h.q[c], h.q[i]
+		i = c
+	}
+	h.now = e.at
 	return e
 }
 
-// Simulator is a minimal discrete-event engine: schedule callbacks at future
-// virtual times and run until the queue drains.
-type Simulator struct {
-	now   float64
-	seq   int64
-	queue eventQueue
+// unit is a serially reusable resource (the compute unit or the I/O
+// channel): bookings are served back to back, and busy time accumulates
+// for utilization accounting.
+type unit struct {
+	busyUntil, busyTotal float64
 }
 
-// NewSimulator returns an empty simulator at time zero.
-func NewSimulator() *Simulator { return &Simulator{} }
+// reserve books the unit for d seconds starting no earlier than earliest
+// and returns the end of the booking.
+func (u *unit) reserve(earliest, d float64) float64 {
+	u.busyUntil = math.Max(earliest, u.busyUntil) + d
+	u.busyTotal += d
+	return u.busyUntil
+}
 
-// Now returns the current virtual time in seconds.
-func (s *Simulator) Now() float64 { return s.now }
-
-// At schedules fn to run at absolute virtual time t ≥ Now.
-func (s *Simulator) At(t float64, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("machine: scheduling into the past (%v < %v)", t, s.now))
+// phaseTime is the duration of n units at rate per second. Rates that pass
+// Validate can still overflow it (a subnormal rate against a large step), so
+// a non-finite result is an error naming step k and the phase.
+func phaseTime(n uint64, rate float64, k int, phase string) (float64, error) {
+	d := float64(n) / rate
+	if !(d >= 0) || math.IsInf(d, 0) {
+		return 0, fmt.Errorf("machine: step %d: %s duration %v is not finite", k, phase, d)
 	}
-	s.seq++
-	heap.Push(&s.queue, &event{at: t, seq: s.seq, fn: fn})
+	return d, nil
 }
-
-// After schedules fn to run delay seconds from now.
-func (s *Simulator) After(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("machine: invalid delay %v", delay))
-	}
-	s.At(s.now+delay, fn)
-}
-
-// Run processes events in time order until none remain, returning the final
-// virtual time.
-func (s *Simulator) Run() float64 {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(*event)
-		s.now = e.at
-		e.fn()
-	}
-	return s.now
-}
-
-// Server models a serially reusable unit (a compute pipeline, a DMA channel,
-// a host link): requests queue FIFO and are served back to back. Busy time
-// is accumulated for utilization accounting.
-type Server struct {
-	name      string
-	busyUntil float64
-	busyTotal float64
-}
-
-// NewServer names a serially reusable unit.
-func NewServer(name string) *Server { return &Server{name: name} }
-
-// Reserve books the server for duration starting no earlier than earliest,
-// returning the (start, end) of the booked interval.
-func (sv *Server) Reserve(earliest, duration float64) (start, end float64) {
-	if duration < 0 || math.IsNaN(duration) || math.IsInf(duration, 0) {
-		panic(fmt.Sprintf("machine: %s: invalid service duration %v", sv.name, duration))
-	}
-	start = math.Max(earliest, sv.busyUntil)
-	end = start + duration
-	sv.busyUntil = end
-	sv.busyTotal += duration
-	return start, end
-}
-
-// BusyTotal returns the cumulative booked time.
-func (sv *Server) BusyTotal() float64 { return sv.busyTotal }
-
-// Name returns the server's name.
-func (sv *Server) Name() string { return sv.name }
