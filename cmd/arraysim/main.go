@@ -45,15 +45,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(stderr, err)
 	}
-	var ladder []int
-	for m := 4; m <= *maxMem; m *= 2 {
-		ladder = append(ladder, m)
-	}
+	ladder := doublings(4, *maxMem)
 	cell := model.PE{C: *cellC, IO: *cellIO, M: 1}
 
 	fmt.Fprintf(stdout, "topology=%s workload=%s cell intensity C/IO=%.3g\n\n", *topology, w.Name(), cell.Intensity())
 	tb := textplot.NewTable("p", "cells", "aggregate C/IO", "per-PE balance memory", "compute util")
-	for p := 1; p <= *pmax; p *= 2 {
+	for _, p := range doublings(1, *pmax) {
 		var rates machine.Rates
 		var cells int
 		var alpha float64
@@ -76,6 +73,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stdout, tb.String())
 	return 0
+}
+
+// doublings returns from, 2·from, 4·from, … up to limit, stopping before
+// the next doubling could overflow int.
+func doublings(from, limit int) []int {
+	var out []int
+	for v := from; v <= limit; v *= 2 {
+		out = append(out, v)
+		if v > limit/2 {
+			break
+		}
+	}
+	return out
 }
 
 func pickWorkload(name string, n int) (array.Workload, error) {

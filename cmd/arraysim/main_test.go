@@ -1,6 +1,8 @@
 package main
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,5 +48,30 @@ func TestRunBadFlags(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
+	}
+}
+
+// TestRunHugeLimitsTerminate: a memory ceiling or array size of
+// math.MaxInt ends the doubling sweeps at the last power of two below it
+// instead of overflowing and looping forever.
+func TestRunHugeLimitsTerminate(t *testing.T) {
+	maxInt := strconv.Itoa(int(^uint(0) >> 1))
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-maxmem", maxInt, "-pmax", "1", "-n", "64"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-maxmem MaxInt: exit %d, stderr %q", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "per-PE balance memory") || stderr.Len() != 0 {
+		t.Errorf("-maxmem MaxInt: stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-pmax", maxInt, "-n", "16", "-maxmem", "64"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-pmax MaxInt: exit %d, stderr %q", code, stderr.String())
+	}
+	if got := strings.Count(stdout.String(), "\n") + strings.Count(stderr.String(), "\n"); got < 63 {
+		t.Errorf("-pmax MaxInt: %d output lines, want one per power of two", got)
+	}
+	if want := []int{1, 2, 4}; !slices.Equal(doublings(1, 7), want) {
+		t.Errorf("doublings(1, 7) = %v, want %v", doublings(1, 7), want)
 	}
 }

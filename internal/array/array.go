@@ -15,6 +15,8 @@ package array
 
 import (
 	"fmt"
+	"iter"
+	"math"
 
 	"balarch/internal/machine"
 	"balarch/internal/model"
@@ -169,11 +171,14 @@ func FindBalancedMemory(rates machine.Rates, cells int, w Workload, ladder []int
 		prev = m
 	}
 	for _, m := range ladder {
+		if m > math.MaxInt/cells {
+			return BalancePoint{}, fmt.Errorf("array: per-PE memory %d × %d cells overflows int", m, cells)
+		}
 		steps, err := w.Steps(m * cells)
 		if err != nil {
 			return BalancePoint{}, fmt.Errorf("array: %s at per-PE memory %d: %w", w.Name(), m, err)
 		}
-		metrics, err := machine.RunPipeline(rates, steps)
+		metrics, err := Simulate(rates, steps)
 		if err != nil {
 			return BalancePoint{}, err
 		}
@@ -186,4 +191,19 @@ func FindBalancedMemory(rates machine.Rates, cells int, w Workload, ladder []int
 		}
 	}
 	return BalancePoint{}, fmt.Errorf("array: %s still I/O bound at per-PE memory %d", w.Name(), ladder[len(ladder)-1])
+}
+
+// Simulate runs a step stream through the double-buffered pipeline as it
+// is generated, so no step list is held.
+func Simulate(rates machine.Rates, steps iter.Seq[machine.Step]) (machine.Metrics, error) {
+	p, err := machine.NewPipeline(rates, 2)
+	if err != nil {
+		return machine.Metrics{}, err
+	}
+	for st := range steps {
+		if err := p.Push(st); err != nil {
+			return machine.Metrics{}, err
+		}
+	}
+	return p.Metrics(), nil
 }

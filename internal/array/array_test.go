@@ -1,7 +1,10 @@
 package array
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"balarch/internal/kernels"
@@ -67,7 +70,7 @@ func TestMatMulWorkloadStepsMatchKernelCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, ops, out := machine.TotalWork(steps)
+	in, ops, out := machine.TotalWork(slices.Collect(steps))
 	want, err := kernels.CountBlockedMatMul(kernels.MatMulSpec{N: n, Block: b})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,7 @@ func TestGridWorkloadStepsMatchKernelCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, ops, out := machine.TotalWork(steps)
+	in, ops, out := machine.TotalWork(slices.Collect(steps))
 	want, err := kernels.CountRelaxTiled(kernels.GridSpec{Dim: 2, Size: 64, Tile: s, Iters: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +105,7 @@ func TestFFTWorkloadStepsMatchKernelCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, ops, out := machine.TotalWork(steps)
+	in, ops, out := machine.TotalWork(slices.Collect(steps))
 	want, err := kernels.CountBlockedFFT(kernels.FFTSpec{N: 1024, Block: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -321,4 +324,281 @@ func TestLinearArrayMatchesRebalanceLaw(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamsMatchSliceOracle: every workload's stream, collected, equals
+// the slice the parent implementation built, at every aggregate memory the
+// array experiments search (E8 linear matmul and 2-D grid, E9 mesh matmul
+// and 3-D grid, X1 perimeter and corner meshes — the same aggregate
+// memories — and E10's three Warp sizes), plus the FFT on a ladder. Where
+// the oracle refuses a size, so must the stream.
+func TestStreamsMatchSliceOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every rung's step list twice")
+	}
+	type rung struct {
+		w Workload
+		m int
+	}
+	var rungs []rung
+	add := func(w Workload, ladderMax int, cells ...int) {
+		for _, c := range cells {
+			for _, m := range arrayLadderLocal(ladderMax) {
+				rungs = append(rungs, rung{w, m * c})
+			}
+		}
+	}
+	add(MatMulWorkload{N: 2048}, 1<<15, 1, 2, 4, 8, 16, 32)          // E8
+	add(GridWorkload{Dim: 2, Size: 1024, Iters: 2}, 1<<15, 1, 4, 16) // E8
+	add(MatMulWorkload{N: 4096}, 1<<14, 4, 16, 64, 256)              // E9, X1
+	add(GridWorkload{Dim: 3, Size: 128, Iters: 2}, 1<<12, 4, 16, 64) // E9
+	add(FFTWorkload{N: 1 << 16}, 1<<12, 1)
+	for _, m := range []int{4, 25, 655360} { // E10
+		rungs = append(rungs, rung{MatMulWorkload{N: 1024}, m})
+	}
+	seen := map[string]bool{}
+	for _, r := range rungs {
+		key := fmt.Sprintf("%s@%d", r.w.Name(), r.m)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		var want []machine.Step
+		var werr error
+		switch w := r.w.(type) {
+		case MatMulWorkload:
+			want, werr = oracleMatMulSteps(w, r.m)
+		case GridWorkload:
+			want, werr = oracleGridSteps(w, r.m)
+		case FFTWorkload:
+			want, werr = oracleFFTSteps(w, r.m)
+		}
+		seq, err := r.w.Steps(r.m)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%s: stream error %v, oracle error %v", key, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		if got := slices.Collect(seq); !slices.Equal(got, want) {
+			t.Fatalf("%s: stream of %d steps differs from the oracle's %d", key, len(got), len(want))
+		}
+	}
+}
+
+// TestStreamsStopEarly: breaking out of a stream stops it cleanly, and a
+// stream ranges again from the start.
+func TestStreamsStopEarly(t *testing.T) {
+	for _, w := range []Workload{MatMulWorkload{N: 64}, GridWorkload{Dim: 3, Size: 16, Iters: 3}, FFTWorkload{N: 1024}} {
+		seq, err := w.Steps(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := slices.Collect(seq)
+		for _, stop := range []int{0, 1, len(all) / 2, len(all) - 1} {
+			var got []machine.Step
+			for st := range seq {
+				if len(got) == stop {
+					break
+				}
+				got = append(got, st)
+			}
+			if !slices.Equal(got, all[:stop]) {
+				t.Errorf("%s: stopping after %d steps yielded %d steps", w.Name(), stop, len(got))
+			}
+		}
+	}
+}
+
+// TestStepCapsDoNotOverflow: step counts whose product wraps int are
+// refused, not run; a count exactly at the cap is accepted.
+func TestStepCapsDoNotOverflow(t *testing.T) {
+	// nb = 2^32 blocks per side: nb*nb wraps to 0.
+	if _, err := (MatMulWorkload{N: 1 << 33}).Steps(4); err == nil || !strings.Contains(err.Error(), "would need") {
+		t.Errorf("matmul N=2^33 at memory 4: %v", err)
+	}
+	// 4 tiles × 2^62 iterations wraps to 0.
+	if _, err := (GridWorkload{Dim: 2, Size: 1024, Iters: 1 << 62}).Steps(512 * 512); err == nil || !strings.Contains(err.Error(), "would need") {
+		t.Errorf("grid with 2^62 iterations: %v", err)
+	}
+	if _, err := (GridWorkload{Dim: 2, Size: 1024, Iters: MaxWorkloadSteps / 4}).Steps(512 * 512); err != nil {
+		t.Errorf("grid exactly at the cap refused: %v", err)
+	}
+	if _, err := (GridWorkload{Dim: 2, Size: 1024, Iters: MaxWorkloadSteps/4 + 1}).Steps(512 * 512); err == nil {
+		t.Error("grid one iteration past the cap accepted")
+	}
+	// 1024×1024 blocks is under the cap, 2048×2048 over it.
+	if _, err := (MatMulWorkload{N: 1024}).Steps(1); err != nil {
+		t.Errorf("matmul with 2^20 steps refused: %v", err)
+	}
+	if _, err := (MatMulWorkload{N: 2048}).Steps(1); err == nil {
+		t.Error("matmul with 2^22 steps accepted")
+	}
+	// The aggregate memory itself must not wrap.
+	rates := machine.Rates{ComputeOps: 1e12, IOWords: 1}
+	if _, err := FindBalancedMemory(rates, 4, MatMulWorkload{N: 64}, []int{1 << 62}, 0.05); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("per-PE memory 2^62 × 4 cells: %v", err)
+	}
+}
+
+// BenchmarkFindBalancedMemory is E8's p = 1 search: matmul N = 2048 on the
+// 4…32768 ladder, each rung's steps streamed into the pipeline.
+func BenchmarkFindBalancedMemory(b *testing.B) {
+	rates := LinearArray{P: 1, Cell: model.PE{C: 4e6, IO: 1e6, M: 1}}.Rates()
+	ladder := arrayLadderLocal(1 << 15)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := FindBalancedMemory(rates, 1, MatMulWorkload{N: 2048}, ladder, 0.05); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The slice-building Steps implementations the streams replaced, kept
+// verbatim as the reference for TestStreamsMatchSliceOracle.
+
+func oracleMatMulSteps(w MatMulWorkload, mTotal int) ([]machine.Step, error) {
+	if w.N < 1 {
+		return nil, fmt.Errorf("array: matmul N=%d must be ≥ 1", w.N)
+	}
+	b := int(math.Sqrt(float64(mTotal)))
+	if b < 1 {
+		return nil, fmt.Errorf("array: memory %d too small for any block", mTotal)
+	}
+	if b > w.N {
+		b = w.N
+	}
+	nb := (w.N + b - 1) / b
+	if nb*nb > MaxWorkloadSteps {
+		return nil, fmt.Errorf("array: matmul would need %d steps (> %d)", nb*nb, MaxWorkloadSteps)
+	}
+	steps := make([]machine.Step, 0, nb*nb)
+	n := uint64(w.N)
+	for i0 := 0; i0 < w.N; i0 += b {
+		rows := uint64(min(b, w.N-i0))
+		for j0 := 0; j0 < w.N; j0 += b {
+			cols := uint64(min(b, w.N-j0))
+			steps = append(steps, machine.Step{
+				InWords:  n * (rows + cols),
+				Ops:      2 * n * rows * cols,
+				OutWords: rows * cols,
+			})
+		}
+	}
+	return steps, nil
+}
+
+func oracleGridSteps(w GridWorkload, mTotal int) ([]machine.Step, error) {
+	if w.Dim < 1 || w.Size < 3 || w.Iters < 1 {
+		return nil, fmt.Errorf("array: invalid grid workload %+v", w)
+	}
+	s := int(math.Floor(math.Pow(float64(mTotal), 1/float64(w.Dim))))
+	if s < 1 {
+		return nil, fmt.Errorf("array: memory %d too small for any tile", mTotal)
+	}
+	if s > w.Size {
+		s = w.Size
+	}
+	tilesPerDim := (w.Size + s - 1) / s
+	nTiles := 1
+	for d := 0; d < w.Dim; d++ {
+		nTiles *= tilesPerDim
+		if nTiles > MaxWorkloadSteps {
+			return nil, fmt.Errorf("array: grid would need > %d tiles", MaxWorkloadSteps)
+		}
+	}
+	if w.Iters*nTiles > MaxWorkloadSteps {
+		return nil, fmt.Errorf("array: grid would need %d steps (> %d)", w.Iters*nTiles, MaxWorkloadSteps)
+	}
+
+	ext := func(lo int) int { return min(s, w.Size-lo) }
+	tileLo := make([]int, w.Dim)
+	var tileSteps []machine.Step
+	var rec func(dim int)
+	rec = func(dim int) {
+		if dim < w.Dim {
+			for lo := 0; lo < w.Size; lo += s {
+				tileLo[dim] = lo
+				rec(dim + 1)
+			}
+			return
+		}
+		var halo, interior uint64 = 0, 1
+		for k := 0; k < w.Dim; k++ {
+			area := uint64(1)
+			for j := 0; j < w.Dim; j++ {
+				if j != k {
+					area *= uint64(ext(tileLo[j]))
+				}
+			}
+			if tileLo[k] > 0 {
+				halo += 2 * area // receive + send one face
+			}
+			if tileLo[k]+ext(tileLo[k]) < w.Size {
+				halo += 2 * area
+			}
+			lo, hi := tileLo[k], tileLo[k]+ext(tileLo[k])
+			if lo == 0 {
+				lo = 1
+			}
+			if hi == w.Size {
+				hi = w.Size - 1
+			}
+			if hi <= lo {
+				interior = 0
+			} else {
+				interior *= uint64(hi - lo)
+			}
+		}
+		tileSteps = append(tileSteps, machine.Step{
+			InWords:  halo / 2,
+			Ops:      interior * uint64(4*w.Dim+1),
+			OutWords: halo / 2,
+		})
+	}
+	rec(0)
+
+	steps := make([]machine.Step, 0, w.Iters*len(tileSteps))
+	for it := 0; it < w.Iters; it++ {
+		steps = append(steps, tileSteps...)
+	}
+	return steps, nil
+}
+
+func oracleFFTSteps(w FFTWorkload, mTotal int) ([]machine.Step, error) {
+	if w.N < 2 || w.N&(w.N-1) != 0 {
+		return nil, fmt.Errorf("array: FFT N=%d must be a power of two ≥ 2", w.N)
+	}
+	b := 2
+	for b*2 <= mTotal && b*2 <= w.N {
+		b *= 2
+	}
+	if b > mTotal {
+		return nil, fmt.Errorf("array: memory %d below the minimum block of 2", mTotal)
+	}
+	totalStages := 0
+	for v := w.N; v > 1; v >>= 1 {
+		totalStages++
+	}
+	perPass := 0
+	for v := b; v > 1; v >>= 1 {
+		perPass++
+	}
+	var steps []machine.Step
+	for stageLo := 0; stageLo < totalStages; stageLo += perPass {
+		lp := min(perPass, totalStages-stageLo)
+		groupSize := uint64(1) << lp
+		groups := w.N / int(groupSize)
+		if len(steps)+groups > MaxWorkloadSteps {
+			return nil, fmt.Errorf("array: FFT would need > %d steps", MaxWorkloadSteps)
+		}
+		for g := 0; g < groups; g++ {
+			steps = append(steps, machine.Step{
+				InWords:  groupSize,
+				Ops:      groupSize / 2 * uint64(lp) * 10,
+				OutWords: groupSize,
+			})
+		}
+	}
+	return steps, nil
 }

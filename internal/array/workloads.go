@@ -2,14 +2,16 @@ package array
 
 import (
 	"fmt"
+	"iter"
 	"math"
 
 	"balarch/internal/machine"
 )
 
 // MaxWorkloadSteps caps the macro-step streams so degenerate parameter
-// choices (huge problems at tiny memories) fail loudly instead of
-// allocating without bound.
+// choices (huge problems at tiny memories) fail loudly instead of running
+// without bound. Streams are generated on demand, so the cap bounds
+// simulation time, not memory.
 const MaxWorkloadSteps = 1 << 21
 
 // Workload turns an aggregate local memory size into the macro-step stream
@@ -18,8 +20,10 @@ type Workload interface {
 	// Name identifies the workload in reports and errors.
 	Name() string
 	// Steps returns the macro-steps executed when the aggregate local
-	// memory holds mTotal words.
-	Steps(mTotal int) ([]machine.Step, error)
+	// memory holds mTotal words, generated as the sequence is ranged
+	// over. Parameters and the MaxWorkloadSteps cap are checked before
+	// the sequence is returned.
+	Steps(mTotal int) (iter.Seq[machine.Step], error)
 	// Ratio is the asymptotic Ccomp/Cio at aggregate memory m, used to
 	// cross-check simulated balance points against the analytic model.
 	Ratio(m float64) float64
@@ -39,7 +43,7 @@ func (w MatMulWorkload) Name() string { return fmt.Sprintf("matmul N=%d", w.N) }
 func (w MatMulWorkload) Ratio(m float64) float64 { return math.Sqrt(m) }
 
 // Steps implements Workload.
-func (w MatMulWorkload) Steps(mTotal int) ([]machine.Step, error) {
+func (w MatMulWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
 	if w.N < 1 {
 		return nil, fmt.Errorf("array: matmul N=%d must be ≥ 1", w.N)
 	}
@@ -51,23 +55,25 @@ func (w MatMulWorkload) Steps(mTotal int) ([]machine.Step, error) {
 		b = w.N
 	}
 	nb := (w.N + b - 1) / b
-	if nb*nb > MaxWorkloadSteps {
-		return nil, fmt.Errorf("array: matmul would need %d steps (> %d)", nb*nb, MaxWorkloadSteps)
+	if nb > MaxWorkloadSteps/nb { // nb*nb may overflow
+		return nil, fmt.Errorf("array: matmul would need %d×%d steps (> %d)", nb, nb, MaxWorkloadSteps)
 	}
-	steps := make([]machine.Step, 0, nb*nb)
 	n := uint64(w.N)
-	for i0 := 0; i0 < w.N; i0 += b {
-		rows := uint64(min(b, w.N-i0))
-		for j0 := 0; j0 < w.N; j0 += b {
-			cols := uint64(min(b, w.N-j0))
-			steps = append(steps, machine.Step{
-				InWords:  n * (rows + cols),
-				Ops:      2 * n * rows * cols,
-				OutWords: rows * cols,
-			})
+	return func(yield func(machine.Step) bool) {
+		for i0 := 0; i0 < w.N; i0 += b {
+			rows := uint64(min(b, w.N-i0))
+			for j0 := 0; j0 < w.N; j0 += b {
+				cols := uint64(min(b, w.N-j0))
+				if !yield(machine.Step{
+					InWords:  n * (rows + cols),
+					Ops:      2 * n * rows * cols,
+					OutWords: rows * cols,
+				}) {
+					return
+				}
+			}
 		}
-	}
-	return steps, nil
+	}, nil
 }
 
 // GridWorkload is the §3.3 d-dimensional relaxation: tiles of side
@@ -91,7 +97,7 @@ func (w GridWorkload) Ratio(m float64) float64 {
 }
 
 // Steps implements Workload.
-func (w GridWorkload) Steps(mTotal int) ([]machine.Step, error) {
+func (w GridWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
 	if w.Dim < 1 || w.Size < 3 || w.Iters < 1 {
 		return nil, fmt.Errorf("array: invalid grid workload %+v", w)
 	}
@@ -110,62 +116,70 @@ func (w GridWorkload) Steps(mTotal int) ([]machine.Step, error) {
 			return nil, fmt.Errorf("array: grid would need > %d tiles", MaxWorkloadSteps)
 		}
 	}
-	if w.Iters*nTiles > MaxWorkloadSteps {
-		return nil, fmt.Errorf("array: grid would need %d steps (> %d)", w.Iters*nTiles, MaxWorkloadSteps)
+	if nTiles > MaxWorkloadSteps/w.Iters { // Iters*nTiles may overflow
+		return nil, fmt.Errorf("array: grid would need %d×%d steps (> %d)", w.Iters, nTiles, MaxWorkloadSteps)
 	}
-
-	ext := func(lo int) int { return min(s, w.Size-lo) }
-	tileLo := make([]int, w.Dim)
-	var tileSteps []machine.Step
-	var rec func(dim int)
-	rec = func(dim int) {
-		if dim < w.Dim {
-			for lo := 0; lo < w.Size; lo += s {
-				tileLo[dim] = lo
-				rec(dim + 1)
-			}
-			return
-		}
-		var halo, interior uint64 = 0, 1
-		for k := 0; k < w.Dim; k++ {
-			area := uint64(1)
-			for j := 0; j < w.Dim; j++ {
-				if j != k {
-					area *= uint64(ext(tileLo[j]))
+	return func(yield func(machine.Step) bool) {
+		tileLo := make([]int, w.Dim)
+		for range w.Iters {
+			// Tiles in row-major order of their low corners: the
+			// last dimension varies fastest.
+			for {
+				if !yield(w.tileStep(tileLo, s)) {
+					return
+				}
+				k := w.Dim - 1
+				for ; k >= 0; k-- {
+					if tileLo[k] += s; tileLo[k] < w.Size {
+						break
+					}
+					tileLo[k] = 0
+				}
+				if k < 0 {
+					break
 				}
 			}
-			if tileLo[k] > 0 {
-				halo += 2 * area // receive + send one face
-			}
-			if tileLo[k]+ext(tileLo[k]) < w.Size {
-				halo += 2 * area
-			}
-			lo, hi := tileLo[k], tileLo[k]+ext(tileLo[k])
-			if lo == 0 {
-				lo = 1
-			}
-			if hi == w.Size {
-				hi = w.Size - 1
-			}
-			if hi <= lo {
-				interior = 0
-			} else {
-				interior *= uint64(hi - lo)
+		}
+	}, nil
+}
+
+// tileStep is one iteration's macro-step for the tile of side s with low
+// corner tileLo: it exchanges the faces it shares with neighbouring tiles
+// and updates its points that are interior to the grid.
+func (w GridWorkload) tileStep(tileLo []int, s int) machine.Step {
+	ext := func(lo int) int { return min(s, w.Size-lo) }
+	var halo, interior uint64 = 0, 1
+	for k := 0; k < w.Dim; k++ {
+		area := uint64(1)
+		for j := 0; j < w.Dim; j++ {
+			if j != k {
+				area *= uint64(ext(tileLo[j]))
 			}
 		}
-		tileSteps = append(tileSteps, machine.Step{
-			InWords:  halo / 2,
-			Ops:      interior * uint64(4*w.Dim+1),
-			OutWords: halo / 2,
-		})
+		if tileLo[k] > 0 {
+			halo += 2 * area // receive + send one face
+		}
+		if tileLo[k]+ext(tileLo[k]) < w.Size {
+			halo += 2 * area
+		}
+		lo, hi := tileLo[k], tileLo[k]+ext(tileLo[k])
+		if lo == 0 {
+			lo = 1
+		}
+		if hi == w.Size {
+			hi = w.Size - 1
+		}
+		if hi <= lo {
+			interior = 0
+		} else {
+			interior *= uint64(hi - lo)
+		}
 	}
-	rec(0)
-
-	steps := make([]machine.Step, 0, w.Iters*len(tileSteps))
-	for it := 0; it < w.Iters; it++ {
-		steps = append(steps, tileSteps...)
+	return machine.Step{
+		InWords:  halo / 2,
+		Ops:      interior * uint64(4*w.Dim+1),
+		OutWords: halo / 2,
 	}
-	return steps, nil
 }
 
 // FFTWorkload is the §3.4 blocked transform of N points: block size the
@@ -181,7 +195,7 @@ func (w FFTWorkload) Name() string { return fmt.Sprintf("fft N=%d", w.N) }
 func (w FFTWorkload) Ratio(m float64) float64 { return 2.5 * math.Log2(m) }
 
 // Steps implements Workload.
-func (w FFTWorkload) Steps(mTotal int) ([]machine.Step, error) {
+func (w FFTWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
 	if w.N < 2 || w.N&(w.N-1) != 0 {
 		return nil, fmt.Errorf("array: FFT N=%d must be a power of two ≥ 2", w.N)
 	}
@@ -200,21 +214,27 @@ func (w FFTWorkload) Steps(mTotal int) ([]machine.Step, error) {
 	for v := b; v > 1; v >>= 1 {
 		perPass++
 	}
-	var steps []machine.Step
+	// Each pass runs lp = min(perPass, stages left) butterfly stages on
+	// groups of 2^lp points.
+	steps := 0
 	for stageLo := 0; stageLo < totalStages; stageLo += perPass {
-		lp := min(perPass, totalStages-stageLo)
-		groupSize := uint64(1) << lp
-		groups := w.N / int(groupSize)
-		if len(steps)+groups > MaxWorkloadSteps {
+		if steps += w.N >> min(perPass, totalStages-stageLo); steps > MaxWorkloadSteps {
 			return nil, fmt.Errorf("array: FFT would need > %d steps", MaxWorkloadSteps)
 		}
-		for g := 0; g < groups; g++ {
-			steps = append(steps, machine.Step{
-				InWords:  groupSize,
-				Ops:      groupSize / 2 * uint64(lp) * 10,
-				OutWords: groupSize,
-			})
-		}
 	}
-	return steps, nil
+	return func(yield func(machine.Step) bool) {
+		for stageLo := 0; stageLo < totalStages; stageLo += perPass {
+			lp := min(perPass, totalStages-stageLo)
+			groupSize := uint64(1) << lp
+			for range w.N / int(groupSize) {
+				if !yield(machine.Step{
+					InWords:  groupSize,
+					Ops:      groupSize / 2 * uint64(lp) * 10,
+					OutWords: groupSize,
+				}) {
+					return
+				}
+			}
+		}
+	}, nil
 }

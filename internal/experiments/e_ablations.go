@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"balarch/internal/array"
 	"balarch/internal/fit"
@@ -88,10 +89,11 @@ func RunX2Overlap(ctx context.Context) (*report.Result, error) {
 	// A PE exactly balanced for matmul at M = 1024: intensity 32 = √1024.
 	rates := machine.Rates{ComputeOps: 32e6, IOWords: 1e6}
 	w := array.MatMulWorkload{N: 4096}
-	steps, err := w.Steps(1024)
+	seq, err := w.Steps(1024)
 	if err != nil {
 		return nil, err
 	}
+	steps := slices.Collect(seq) // 16k steps, run six times
 	serial, err := machine.RunSerial(rates, steps)
 	if err != nil {
 		return nil, err

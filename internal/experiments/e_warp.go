@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"balarch/internal/array"
-	"balarch/internal/machine"
 	"balarch/internal/model"
 	"balarch/internal/report"
 	"balarch/internal/textplot"
@@ -95,7 +94,7 @@ func RunE10Warp(ctx context.Context) (*report.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		met, err := machine.RunPipeline(arr.Rates(), steps)
+		met, err := array.Simulate(arr.Rates(), steps)
 		if err != nil {
 			return nil, err
 		}

@@ -210,52 +210,46 @@ func RelaxTiled(spec GridSpec, g *Grid, c *opcount.Counter) (*Grid, error) {
 	return cur, nil
 }
 
-// CountRelaxTiled walks the same tile structure as RelaxTiled without
-// arithmetic, returning identical counts in O(iters · #tiles · d) time.
+// CountRelaxTiled returns the counts RelaxTiled makes, without arithmetic,
+// in O(d + N/s) time. Every per-tile count is a product over dimensions of
+// a term set by the tile's position in that dimension alone — a face's
+// area is the other dimensions' extents, a tile's updatable points are its
+// per-dimension interior runs — so the sum over all tiles factors into
+// sums over the N/s tile positions of one dimension. The factoring is exact
+// in uint64, wraparound included.
 func CountRelaxTiled(spec GridSpec) (opcount.Totals, error) {
 	if err := spec.Validate(); err != nil {
 		return opcount.Totals{}, err
 	}
-	d := spec.Dim
-	tileLo := make([]int, d)
-	var t opcount.Totals
-	var perIter opcount.Totals
-	forEachTile(spec, tileLo, func() {
-		for k := 0; k < d; k++ {
-			area := uint64(tileFaceArea(spec, tileLo, k))
-			if tileLo[k] > 0 {
-				perIter.Reads += area
-				perIter.Writes += area
-			}
-			if tileLo[k]+tileExtent(spec, tileLo[k]) < spec.Size {
-				perIter.Reads += area
-				perIter.Writes += area
-			}
+	// Over one dimension's tile positions: faces shared with a neighbour
+	// tile, and points interior to the grid.
+	var faces, interior uint64
+	for lo := 0; lo < spec.Size; lo += spec.Tile {
+		hi := lo + tileExtent(spec, lo)
+		if lo > 0 {
+			faces++
 		}
-		// Updatable points: tile points that are interior to the grid.
-		interior := uint64(1)
-		for k := 0; k < d; k++ {
-			lo, ext := tileLo[k], tileExtent(spec, tileLo[k])
-			hi := lo + ext
-			ilo, ihi := lo, hi
-			if ilo == 0 {
-				ilo = 1
-			}
-			if ihi == spec.Size {
-				ihi = spec.Size - 1
-			}
-			if ihi <= ilo {
-				interior = 0
-				break
-			}
-			interior *= uint64(ihi - ilo)
+		if hi < spec.Size {
+			faces++
 		}
-		perIter.Ops += interior * uint64(spec.stencilOps())
-	})
-	t.Ops = perIter.Ops * uint64(spec.Iters)
-	t.Reads = perIter.Reads * uint64(spec.Iters)
-	t.Writes = perIter.Writes * uint64(spec.Iters)
-	return t, nil
+		interior += uint64(max(0, min(hi, spec.Size-1)-max(lo, 1)))
+	}
+	// Σ_tiles Σ_k faces_k·Π_{j≠k} extent_j = d · faces · N^(d-1), each
+	// face read and written once; Σ_tiles Π_k interior_k = interior^d.
+	faceArea, points := uint64(1), uint64(1)
+	for range spec.Dim - 1 {
+		faceArea *= uint64(spec.Size)
+	}
+	for range spec.Dim {
+		points *= interior
+	}
+	iters := uint64(spec.Iters)
+	halo := uint64(spec.Dim) * faces * faceArea * iters
+	return opcount.Totals{
+		Ops:    points * uint64(spec.stencilOps()) * iters,
+		Reads:  halo,
+		Writes: halo,
+	}, nil
 }
 
 // tileExtent returns the extent of a tile starting at lo (ragged at the far

@@ -225,3 +225,88 @@ func TestGridCountsLinearInIters(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCountRelaxTiledMatchesTileWalk: the per-dimension factoring equals
+// the per-tile walk it replaced (kept below) with ==, over dims 1–4, ragged
+// tiles, tile 1 and tile N, and counts that wrap uint64.
+func TestCountRelaxTiledMatchesTileWalk(t *testing.T) {
+	var specs []GridSpec
+	for dim := 1; dim <= 4; dim++ {
+		for _, size := range []int{3, 4, 7, 16, 23} {
+			for _, tile := range []int{1, 2, 3, 5, size - 1, size} {
+				if tile >= 1 && tile <= size {
+					specs = append(specs, GridSpec{Dim: dim, Size: size, Tile: tile, Iters: 1 + dim%3})
+				}
+			}
+		}
+	}
+	specs = append(specs,
+		GridSpec{Dim: 1, Size: 1000, Tile: 7, Iters: 5},
+		GridSpec{Dim: 2, Size: 1024, Tile: 33, Iters: 2},
+		GridSpec{Dim: 3, Size: 100, Tile: 9, Iters: 3},
+		// Wraps: 1000^4 points × 17 flops × 2^50 iterations.
+		GridSpec{Dim: 4, Size: 1000, Tile: 300, Iters: 1 << 50},
+		GridSpec{Dim: 3, Size: 1 << 22, Tile: 1 << 20, Iters: 1 << 40},
+	)
+	for _, spec := range specs {
+		got, err := CountRelaxTiled(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := countRelaxTiledWalk(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%+v: factored %+v, tile walk %+v", spec, got, want)
+		}
+	}
+}
+
+// countRelaxTiledWalk is the per-tile walk CountRelaxTiled replaced, kept
+// verbatim as the reference for TestCountRelaxTiledMatchesTileWalk.
+func countRelaxTiledWalk(spec GridSpec) (opcount.Totals, error) {
+	if err := spec.Validate(); err != nil {
+		return opcount.Totals{}, err
+	}
+	d := spec.Dim
+	tileLo := make([]int, d)
+	var t opcount.Totals
+	var perIter opcount.Totals
+	forEachTile(spec, tileLo, func() {
+		for k := 0; k < d; k++ {
+			area := uint64(tileFaceArea(spec, tileLo, k))
+			if tileLo[k] > 0 {
+				perIter.Reads += area
+				perIter.Writes += area
+			}
+			if tileLo[k]+tileExtent(spec, tileLo[k]) < spec.Size {
+				perIter.Reads += area
+				perIter.Writes += area
+			}
+		}
+		// Updatable points: tile points that are interior to the grid.
+		interior := uint64(1)
+		for k := 0; k < d; k++ {
+			lo, ext := tileLo[k], tileExtent(spec, tileLo[k])
+			hi := lo + ext
+			ilo, ihi := lo, hi
+			if ilo == 0 {
+				ilo = 1
+			}
+			if ihi == spec.Size {
+				ihi = spec.Size - 1
+			}
+			if ihi <= ilo {
+				interior = 0
+				break
+			}
+			interior *= uint64(ihi - ilo)
+		}
+		perIter.Ops += interior * uint64(spec.stencilOps())
+	})
+	t.Ops = perIter.Ops * uint64(spec.Iters)
+	t.Reads = perIter.Reads * uint64(spec.Iters)
+	t.Writes = perIter.Writes * uint64(spec.Iters)
+	return t, nil
+}

@@ -9,63 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestSimulatorOrdersEvents(t *testing.T) {
-	var h events
-	h.at(3, inputDone, 3)
-	h.at(1, inputDone, 1)
-	h.at(2, computeDone, 2)
-	var order []int
-	for len(h.q) > 0 {
-		order = append(order, h.pop().k)
-	}
-	if h.now != 3 {
-		t.Errorf("end time = %v, want 3", h.now)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v", order)
-	}
-}
-
-func TestSimulatorTieBreakFIFO(t *testing.T) {
-	var h events
-	for k := range 5 {
-		h.at(1, computeDone, k)
-	}
-	for want := range 5 {
-		if k := h.pop().k; k != want {
-			t.Fatalf("simultaneous events not FIFO: popped %d, want %d", k, want)
-		}
-	}
-}
-
-func TestSimulatorNestedScheduling(t *testing.T) {
-	var h events
-	h.at(1, inputDone, 0)
-	var fired []float64
-	for len(h.q) > 0 {
-		e := h.pop()
-		fired = append(fired, h.now)
-		if e.kind == inputDone {
-			h.at(h.now+2, computeDone, 0)
-		}
-	}
-	if h.now != 3 || len(fired) != 2 || fired[1] != 3 {
-		t.Errorf("nested scheduling wrong: end=%v fired=%v", h.now, fired)
-	}
-}
-
-func TestSimulatorPanicsOnPast(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling into the past did not panic")
-		}
-	}()
-	var h events
-	h.at(5, inputDone, 0)
-	h.pop()
-	h.at(1, inputDone, 0)
-}
-
 // TestPipelineTieArbitrationFIFO: steps 1 and 2 finish their inputs at the
 // same instant (step 2's input is empty), and the compute unit serves them
 // in scheduling order. Served the other way round, step 2's long output
@@ -369,8 +312,8 @@ func TestNonFiniteDurationIsAnError(t *testing.T) {
 }
 
 // TestPipelineMatchesClosureOracle is the differential property test: the
-// typed-event loop returns Metrics equal (==, bit for bit) to the closure
-// implementation it replaced, kept below as runPipelineClosures. Small
+// two-unit recurrence returns Metrics equal (==, bit for bit) to the
+// event-driven closure implementation, kept below as runPipelineClosures. Small
 // integer words and rates make simultaneous events common, so FIFO
 // arbitration on ties is exercised.
 func TestPipelineMatchesClosureOracle(t *testing.T) {
@@ -397,8 +340,86 @@ func TestPipelineMatchesClosureOracle(t *testing.T) {
 	}
 }
 
+// TestPipelineMatchesClosureOracleFractionalRates repeats the differential
+// test at rates whose durations round: 4e6 against 1e6, 1/3 and 3.7, so
+// every booking's sum is a rounded float and the recurrence must round in
+// the oracle's order to stay equal with ==.
+func TestPipelineMatchesClosureOracleFractionalRates(t *testing.T) {
+	rng := newRand(20)
+	rateSet := []float64{4e6, 1e6, 1.0 / 3, 3.7, 0.1}
+	for i := range 6000 {
+		steps := make([]Step, rng()%61)
+		for k := range steps {
+			steps[k] = Step{InWords: rng() % 300, Ops: rng() % 900, OutWords: rng() % 300}
+		}
+		rates := Rates{ComputeOps: rateSet[rng()%5], IOWords: rateSet[rng()%5]}
+		buffers := 1 + int(rng()%4)
+		got, err := RunPipelineBuffered(rates, steps, buffers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := runPipelineClosures(rates, steps, buffers); got != want {
+			t.Fatalf("run %d (rates %+v, buffers %d, steps %v): got %+v, oracle %+v",
+				i, rates, buffers, steps, got, want)
+		}
+	}
+}
+
+// TestPipelineMetricsMidStream: Metrics after any prefix of pushes is the
+// run of that prefix, reading it does not disturb the run, and a rejected
+// step leaves the pipeline as it was.
+func TestPipelineMetricsMidStream(t *testing.T) {
+	rates := Rates{ComputeOps: 3.7, IOWords: 1.0 / 3}
+	rng := newRand(7)
+	steps := make([]Step, 40)
+	for k := range steps {
+		steps[k] = Step{InWords: rng() % 50, Ops: rng() % 200, OutWords: rng() % 50}
+	}
+	for _, buffers := range []int{1, 2, 3, 64} {
+		p, err := NewPipeline(rates, buffers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, st := range steps {
+			if err := p.Push(st); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := p.Metrics(), runPipelineClosures(rates, steps[:k+1], buffers); got != want {
+				t.Fatalf("buffers=%d after %d steps: %+v, oracle %+v", buffers, k+1, got, want)
+			}
+		}
+	}
+	// A subnormal rate overflows a large step's input time.
+	p, err := NewPipeline(Rates{ComputeOps: 1, IOWords: 1e-320}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push(Step{Ops: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Metrics()
+	if err := p.Push(Step{InWords: 1 << 40, Ops: 1}); err == nil || !strings.Contains(err.Error(), "step 1: input") {
+		t.Fatalf("overflowing step gave %v", err)
+	}
+	if got := p.Metrics(); got != before {
+		t.Fatalf("rejected step changed the run: %+v, was %+v", got, before)
+	}
+	if err := p.Push(Step{Ops: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Metrics(); got != (Metrics{Makespan: 3, ComputeBusy: 3, Steps: 2}) {
+		t.Errorf("run after a rejected step: %+v", got)
+	}
+	if _, err := NewPipeline(rates, 0); err == nil {
+		t.Error("zero buffers accepted")
+	}
+	if _, err := NewPipeline(Rates{ComputeOps: 1}, 2); err == nil {
+		t.Error("zero I/O rate accepted")
+	}
+}
+
 // TestRunPipelineAllocsConstant: the run allocates the same at 100 steps as
-// at 100k, so per-step events cost no allocation.
+// at 100k, so a step costs no allocation.
 func TestRunPipelineAllocsConstant(t *testing.T) {
 	rates := Rates{ComputeOps: 4, IOWords: 1}
 	allocs := func(n int) float64 {
@@ -431,9 +452,9 @@ func BenchmarkRunPipeline(b *testing.B) {
 }
 
 // runPipelineClosures is the closure-and-container/heap implementation of
-// RunPipelineBuffered that the typed-event loop replaced, kept verbatim
-// (engine types renamed) as the reference for
-// TestPipelineMatchesClosureOracle. It assumes finite durations.
+// RunPipelineBuffered that the typed-event heap and then the two-unit
+// recurrence replaced, kept verbatim (engine types renamed) as the
+// reference for the differential tests. It assumes finite durations.
 func runPipelineClosures(rates Rates, steps []Step, buffers int) Metrics {
 	metrics := Metrics{Steps: len(steps)}
 	if len(steps) == 0 {

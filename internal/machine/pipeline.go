@@ -1,7 +1,29 @@
+// Package machine simulates the paper's processing element (Fig. 1): a
+// compute unit with bandwidth C operations per second, an I/O channel with
+// bandwidth IO words per second, and a local memory that holds the working
+// set between transfers. Computations are presented as streams of
+// macro-steps (read a block, compute on it, write a block); a Pipeline runs
+// them double-buffered — I/O of step k+1 overlaps the computation of step k
+// — and reports where the time went, so balance is an observed property of
+// a run rather than a formula.
+//
+// The pipeline needs no event queue. Each unit serves its bookings back to
+// back, so its busy-until and busy-total are a fold over its own bookings,
+// each ending at max(earliest, busy-until) + duration. With B buffers only
+// two kinds of booking happen:
+//
+//   - The channel reads the first B inputs from t = 0. After that it is
+//     booked only when a compute finishes, and computes finish in step
+//     order, so the channel serves in(0..B-1), then out(j) and in(j+B) for
+//     j = 0, 1, …, each no earlier than computeDone(j).
+//   - The compute unit serves step k in step order, no earlier than
+//     inputDone(k).
+//
+// A ring of B pending steps — input booked, compute not yet — is all the
+// state, so a run of any length holds one ring and two units.
 package machine
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 )
@@ -71,21 +93,139 @@ func (m Metrics) IOBound(tol float64) bool {
 	return m.ComputeUtilization() < 1-tol
 }
 
+// unit is a serially reusable resource (the compute unit or the I/O
+// channel): bookings are served back to back, and busy time accumulates
+// for utilization accounting.
+type unit struct {
+	busyUntil, busyTotal float64
+}
+
+// reserve books the unit for d seconds starting no earlier than earliest
+// and returns the end of the booking. The builtin max is math.Max's rule,
+// compiled inline.
+func (u *unit) reserve(earliest, d float64) float64 {
+	u.busyUntil = max(earliest, u.busyUntil) + d
+	u.busyTotal += d
+	return u.busyUntil
+}
+
+// durations returns step k's input, compute and output times at the given
+// rates. Rates that pass Validate can still overflow them (a subnormal rate
+// against a large step), so a time that is not finite is an error naming
+// step k and the first such phase.
+func durations(st Step, r Rates, k int) (tIn, tC, tOut float64, err error) {
+	tIn = float64(st.InWords) / r.IOWords
+	tC = float64(st.Ops) / r.ComputeOps
+	tOut = float64(st.OutWords) / r.IOWords
+	for i, d := range [...]float64{tIn, tC, tOut} {
+		if !(d <= math.MaxFloat64) {
+			phase := [...]string{"input", "compute", "output"}[i]
+			return 0, 0, 0, fmt.Errorf("machine: step %d: %s duration %v is not finite", k, phase, d)
+		}
+	}
+	return tIn, tC, tOut, nil
+}
+
+// pending is a step whose input is booked and whose compute is not: when
+// its input lands, and how long its compute and output take.
+type pending struct {
+	inputDone, tCompute, tOut float64
+}
+
+// Pipeline runs macro-steps on a PE with buffers local buffers, one step at
+// a time: step k's input becomes eligible when step k-buffers has finished
+// computing, and inputs and outputs share the one I/O channel. Push steps
+// in order and read the run with Metrics; no step list is held.
+type Pipeline struct {
+	rates            Rates
+	buffers          int
+	compute, channel unit
+	// ring holds the steps in flight, oldest at head once it is full.
+	ring  []pending
+	head  int
+	steps int
+}
+
+// NewPipeline returns an empty pipeline with the given rates and buffer
+// count ≥ 1.
+func NewPipeline(rates Rates, buffers int) (*Pipeline, error) {
+	p := new(Pipeline) // inlined, so a caller's pipeline can stay on its stack
+	if err := p.init(rates, buffers); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func (p *Pipeline) init(rates Rates, buffers int) error {
+	if err := rates.Validate(); err != nil {
+		return err
+	}
+	if buffers < 1 {
+		return fmt.Errorf("machine: buffer count %d must be ≥ 1", buffers)
+	}
+	// The ring grows as steps arrive, so a buffer count past the step
+	// count costs nothing.
+	*p = Pipeline{rates: rates, buffers: buffers, ring: make([]pending, 0, min(buffers, 4))}
+	return nil
+}
+
+// Push runs the next step. A step whose input, compute or output duration
+// is not finite is an error naming the first such phase, and leaves the
+// pipeline as it was.
+func (p *Pipeline) Push(st Step) error {
+	tIn, tC, tOut, err := durations(st, p.rates, p.steps)
+	if err != nil {
+		return err
+	}
+	p.steps++
+	if len(p.ring) < p.buffers {
+		// One of the first B steps: a free buffer, read from t = 0.
+		p.ring = append(p.ring, pending{p.channel.reserve(0, tIn), tC, tOut})
+		return nil
+	}
+	// The oldest step computes and writes back, and its buffer takes
+	// this step's input.
+	old := &p.ring[p.head]
+	done := retire(&p.compute, &p.channel, *old)
+	*old = pending{p.channel.reserve(done, tIn), tC, tOut}
+	if p.head++; p.head == len(p.ring) {
+		p.head = 0
+	}
+	return nil
+}
+
+// retire books a pending step's compute after its input and then its
+// output on the channel, and returns when the compute finished.
+func retire(compute, channel *unit, s pending) float64 {
+	done := compute.reserve(s.inputDone, s.tCompute)
+	channel.reserve(done, s.tOut)
+	return done
+}
+
+// Metrics reports the run of the steps pushed so far, as if the stream
+// ended here: the steps in flight compute and write back in order. The
+// pipeline is unchanged, so pushing may go on.
+func (p *Pipeline) Metrics() Metrics {
+	compute, channel := p.compute, p.channel
+	for _, part := range [2][]pending{p.ring[p.head:], p.ring[:p.head]} {
+		for _, s := range part {
+			retire(&compute, &channel, s)
+		}
+	}
+	// The run ends when both units drain.
+	return Metrics{
+		Makespan:    max(compute.busyUntil, channel.busyUntil),
+		ComputeBusy: compute.busyTotal,
+		IOBusy:      channel.busyTotal,
+		Steps:       p.steps,
+	}
+}
+
 // RunPipeline executes the macro-steps on a PE with the given rates under
-// double buffering: step k's input transfer may overlap step k-1's compute,
-// and output transfers share the I/O channel with input transfers (one
-// channel; transfers are served FIFO by arrival time). Dependencies per
-// step k:
-//
-//	input(k)   becomes eligible when buffer k-2 retires (two buffers)
-//	compute(k) starts after input(k) completes and compute(k-1) finishes
-//	output(k)  becomes eligible when compute(k) finishes
-//
-// The run processes input-done and compute-done events in time order so
-// channel arbitration happens in arrival order, letting input(k+1) slip in
-// front of output(k) when it became eligible earlier — exactly how a
-// double-buffered DMA engine behaves. A step whose phase duration is not
-// finite is an error.
+// double buffering: step k's input transfer may overlap step k-1's compute
+// and slip in front of step k-1's output on the shared channel when it
+// became eligible earlier — exactly how a double-buffered DMA engine
+// behaves. A step whose phase duration is not finite is an error.
 func RunPipeline(rates Rates, steps []Step) (Metrics, error) {
 	return RunPipelineBuffered(rates, steps, 2)
 }
@@ -98,55 +238,16 @@ func RunPipeline(rates Rates, steps []Step) (Metrics, error) {
 // uniform macro-steps of the paper's decompositions the curve saturates at
 // two — the X2 ablation measures exactly that.
 func RunPipelineBuffered(rates Rates, steps []Step, buffers int) (Metrics, error) {
-	if err := rates.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	if buffers < 1 {
-		return Metrics{}, fmt.Errorf("machine: buffer count %d must be ≥ 1", buffers)
-	}
-	metrics := Metrics{Steps: len(steps)}
-	// More buffers than steps change nothing, and the clamp keeps
-	// k+buffers from overflowing.
-	buffers = min(buffers, len(steps))
-	var compute, channel unit
-	// At most one event per step holding a buffer is pending.
-	h := events{q: make([]event, 0, buffers)}
-	var err error
-	// reserve books u from now for step k's phase of n units at rate; the
-	// first non-finite duration stops the run.
-	reserve := func(u *unit, n uint64, rate float64, k int, phase string) float64 {
-		d, derr := phaseTime(n, rate, k, phase)
-		if err == nil {
-			err = derr
-		}
-		return u.reserve(h.now, d)
-	}
-	for k := range buffers {
-		h.at(reserve(&channel, steps[k].InWords, rates.IOWords, k, "input"), inputDone, k)
-	}
-	for len(h.q) > 0 && err == nil {
-		e := h.pop()
-		if e.kind == inputDone {
-			// Compute after our input (now) and the previous compute.
-			h.at(reserve(&compute, steps[e.k].Ops, rates.ComputeOps, e.k, "compute"), computeDone, e.k)
-			continue
-		}
-		// Output on the shared channel; our buffer frees for step
-		// k+buffers.
-		reserve(&channel, steps[e.k].OutWords, rates.IOWords, e.k, "output")
-		if k := e.k + buffers; k < len(steps) {
-			h.at(reserve(&channel, steps[k].InWords, rates.IOWords, k, "input"), inputDone, k)
-		}
-	}
+	p, err := NewPipeline(rates, buffers)
 	if err != nil {
 		return Metrics{}, err
 	}
-
-	// The run ends when both units drain.
-	metrics.Makespan = math.Max(compute.busyUntil, channel.busyUntil)
-	metrics.ComputeBusy = compute.busyTotal
-	metrics.IOBusy = channel.busyTotal
-	return metrics, nil
+	for _, st := range steps {
+		if err := p.Push(st); err != nil {
+			return Metrics{}, err
+		}
+	}
+	return p.Metrics(), nil
 }
 
 // RunSerial executes the steps with no overlap: each step reads, computes,
@@ -159,10 +260,8 @@ func RunSerial(rates Rates, steps []Step) (Metrics, error) {
 	}
 	m := Metrics{Steps: len(steps)}
 	for k, st := range steps {
-		tIn, err1 := phaseTime(st.InWords, rates.IOWords, k, "input")
-		tC, err2 := phaseTime(st.Ops, rates.ComputeOps, k, "compute")
-		tOut, err3 := phaseTime(st.OutWords, rates.IOWords, k, "output")
-		if err := cmp.Or(err1, err2, err3); err != nil {
+		tIn, tC, tOut, err := durations(st, rates, k)
+		if err != nil {
 			return Metrics{}, err
 		}
 		m.IOBusy += tIn + tOut
