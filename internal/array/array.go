@@ -11,15 +11,23 @@
 // local memory at which the array stops starving for I/O — reproducing the
 // paper's per-PE memory growth laws as observations of a simulator rather
 // than algebra.
+//
+// The simulator decides only the rungs that the paper's own balance test
+// cannot rule out. A rung whose total compute time, from the kernel
+// counter's exact totals, is below (1-tol)·(1-2⁻²⁰) of its total I/O time
+// cannot reach compute utilization 1-tol in any run, so the search skips
+// it; FindBalancedMemory states why that never changes its answer.
 package array
 
 import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 
 	"balarch/internal/machine"
 	"balarch/internal/model"
+	"balarch/internal/opcount"
 )
 
 // LinearArray is p linearly connected cells (paper Fig. 3). Only the two
@@ -156,6 +164,33 @@ type BalancePoint struct {
 // per-PE memory sizes from the ladder (ascending) and returns the first at
 // which the double-buffered pipeline's compute utilization reaches 1-tol.
 // cells is the number of PEs sharing the aggregate memory.
+//
+// A rung whose total compute time falls short of its total I/O time is
+// decided without simulation, by the paper's balance test on the exact
+// work totals from Workload.Totals: with tc = ops/C and tio =
+// (reads+writes)/IO, the rung is skipped when tc < (1-tol)·(1-2⁻²⁰)·tio,
+// tc and tio are finite and tio > 0. Skipping never changes the result:
+//
+//   - The pipeline's ComputeBusy and the channel's busy total are float64
+//     folds of at most 2·MaxWorkloadSteps = 2²² per-step durations. Each
+//     duration of a nonzero count is at least 2⁻¹⁰²⁴ (rates are finite),
+//     so it is within 2⁻⁵⁰ relative of its exact value even when
+//     subnormal, and each fold is within 2⁻³⁰ relative of the exact sum;
+//     so are tc and tio.
+//   - Makespan ≥ the channel's busy-until ≥ its busy total, because every
+//     booking ends at max(earliest, busy-until) + d and rounding is
+//     monotone. So the simulated utilization is at most ComputeBusy over
+//     that busy total, which the 2⁻²⁰ margin keeps below 1-tol: the
+//     simulation would find the rung I/O bound too.
+//   - No step's counts exceed the rung's totals, so finite tc and tio
+//     mean every step's durations are finite, and the simulation of a
+//     skipped rung could not have failed.
+//
+// Steps is still called first, so its errors and caps come first; the
+// returned rung is always simulated, so the BalancePoint and its Metrics
+// are the simulation's, bit for bit, as is the error when no rung
+// balances. A rung whose totals overflow uint64, and rates that fail
+// Validate, leave every rung to the simulation.
 func FindBalancedMemory(rates machine.Rates, cells int, w Workload, ladder []int, tol float64) (BalancePoint, error) {
 	if cells < 1 {
 		return BalancePoint{}, fmt.Errorf("array: cell count %d must be ≥ 1", cells)
@@ -170,6 +205,7 @@ func FindBalancedMemory(rates machine.Rates, cells int, w Workload, ladder []int
 		}
 		prev = m
 	}
+	prune := rates.Validate() == nil
 	for _, m := range ladder {
 		if m > math.MaxInt/cells {
 			return BalancePoint{}, fmt.Errorf("array: per-PE memory %d × %d cells overflows int", m, cells)
@@ -177,6 +213,13 @@ func FindBalancedMemory(rates machine.Rates, cells int, w Workload, ladder []int
 		steps, err := w.Steps(m * cells)
 		if err != nil {
 			return BalancePoint{}, fmt.Errorf("array: %s at per-PE memory %d: %w", w.Name(), m, err)
+		}
+		if prune {
+			// A Totals error (work past uint64) leaves the rung to
+			// the simulation.
+			if work, err := w.Totals(m * cells); err == nil && starved(rates, work, tol) {
+				continue
+			}
 		}
 		metrics, err := Simulate(rates, steps)
 		if err != nil {
@@ -191,6 +234,23 @@ func FindBalancedMemory(rates machine.Rates, cells int, w Workload, ladder []int
 		}
 	}
 	return BalancePoint{}, fmt.Errorf("array: %s still I/O bound at per-PE memory %d", w.Name(), ladder[len(ladder)-1])
+}
+
+// starved reports whether work's total compute time at valid rates is so
+// far below its total I/O time that no run of it can reach compute
+// utilization 1-tol; FindBalancedMemory gives the proof. The test is
+// written tc/thr < tio so that no side of it can underflow.
+func starved(rates machine.Rates, work opcount.Totals, tol float64) bool {
+	words, carry := bits.Add64(work.Reads, work.Writes, 0)
+	if carry != 0 {
+		return false
+	}
+	tc := float64(work.Ops) / rates.ComputeOps
+	tio := float64(words) / rates.IOWords
+	thr := (1 - tol) * (1 - 0x1p-20)
+	// tc ≥ 0, so the strict test implies tio > 0, and a finite tio bounds
+	// tc/thr, and so tc, to finite values too.
+	return thr > 0 && tio <= math.MaxFloat64 && tc/thr < tio
 }
 
 // Simulate runs a step stream through the double-buffered pipeline as it

@@ -3,6 +3,7 @@ package array
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"balarch/internal/kernels"
 	"balarch/internal/machine"
 	"balarch/internal/model"
+	"balarch/internal/opcount"
 )
 
 func TestLinearArrayAggregate(t *testing.T) {
@@ -442,7 +444,8 @@ func TestStepCapsDoNotOverflow(t *testing.T) {
 }
 
 // BenchmarkFindBalancedMemory is E8's p = 1 search: matmul N = 2048 on the
-// 4…32768 ladder, each rung's steps streamed into the pipeline.
+// 4…32768 ladder. The rungs the totals test cannot rule out have their
+// steps streamed into the pipeline.
 func BenchmarkFindBalancedMemory(b *testing.B) {
 	rates := LinearArray{P: 1, Cell: model.PE{C: 4e6, IO: 1e6, M: 1}}.Rates()
 	ladder := arrayLadderLocal(1 << 15)
@@ -452,6 +455,214 @@ func BenchmarkFindBalancedMemory(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// search is one FindBalancedMemory call.
+type search struct {
+	rates  machine.Rates
+	cells  int
+	w      Workload
+	ladder []int
+	tol    float64
+}
+
+func (s search) String() string {
+	return fmt.Sprintf("%s C=%v IO=%v cells=%d tol=%v ladder=%v", s.w.Name(), s.rates.ComputeOps, s.rates.IOWords, s.cells, s.tol, s.ladder)
+}
+
+// experimentSearches are the balance searches E8, E9 and X1 run.
+func experimentSearches() []search {
+	var out []search
+	cell := model.PE{C: 4e6, IO: 1e6, M: 1}
+	for _, p := range []int{1, 2, 4, 8, 16, 32} { // E8 matmul
+		out = append(out, search{LinearArray{P: p, Cell: cell}.Rates(), p, MatMulWorkload{N: 2048}, arrayLadderLocal(1 << 15), 0.05})
+	}
+	for _, p := range []int{1, 4, 16} { // E8 2-D grid
+		out = append(out, search{LinearArray{P: p, Cell: cell}.Rates(), p, GridWorkload{Dim: 2, Size: 1024, Iters: 2}, arrayLadderLocal(1 << 15), 0.05})
+	}
+	for _, p := range []int{2, 4, 8, 16} { // E9 matmul
+		a := MeshArray{P: p, Cell: cell}
+		out = append(out, search{a.Rates(), a.Cells(), MatMulWorkload{N: 4096}, arrayLadderLocal(1 << 14), 0.05})
+	}
+	for _, p := range []int{2, 4, 8} { // E9 3-D grid
+		a := MeshArray{P: p, Cell: model.PE{C: 2e6, IO: 1e6, M: 1}}
+		out = append(out, search{a.Rates(), a.Cells(), GridWorkload{Dim: 3, Size: 128, Iters: 2}, arrayLadderLocal(1 << 12), 0.05})
+	}
+	for _, p := range []int{2, 4, 8} { // X1
+		for _, host := range []HostAttachment{PerimeterHost, CornerHost} {
+			a := MeshArray{P: p, Cell: cell, Host: host}
+			out = append(out, search{a.Rates(), a.Cells(), MatMulWorkload{N: 4096}, arrayLadderLocal(1 << 13), 0.05})
+		}
+	}
+	return out
+}
+
+// randomSearches draws seeded searches: C/IO from 1/8 to 4096, tol from
+// {0, 0.05, 0.5}, 1–64 cells, and all three workloads at ragged sizes.
+func randomSearches(seed int64, n int) []search {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]search, 0, n)
+	for range n {
+		io := math.Exp2(rng.Float64()*40 - 20)
+		rates := machine.Rates{ComputeOps: io * math.Exp2(rng.Float64()*15-3), IOWords: io}
+		var w Workload
+		switch rng.Intn(3) {
+		case 0:
+			w = MatMulWorkload{N: 1 + rng.Intn(600)}
+		case 1:
+			d := 1 + rng.Intn(3)
+			w = GridWorkload{Dim: d, Size: 3 + rng.Intn([]int{4000, 200, 40}[d-1]), Iters: 1 + rng.Intn(3)}
+		default:
+			w = FFTWorkload{N: 1 << (1 + rng.Intn(14))}
+		}
+		ladder := []int{1 + rng.Intn(8)}
+		for len(ladder) < 4+rng.Intn(12) {
+			ladder = append(ladder, ladder[len(ladder)-1]*(2+rng.Intn(2)))
+		}
+		tol := []float64{0, 0.05, 0.5}[rng.Intn(3)]
+		out = append(out, search{rates, 1 + rng.Intn(64), w, ladder, tol})
+	}
+	return out
+}
+
+// TestFindBalancedMemoryMatchesLinearScan: the search that skips rungs by
+// their totals returns exactly what simulating every rung returns — the
+// BalancePoint with == (Metrics included) and the error text — for every
+// E8, E9 and X1 search, seeded random searches, totals that wrap uint64
+// and extreme rates.
+func TestFindBalancedMemoryMatchesLinearScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates every rung of the experiments' searches")
+	}
+	searches := append(experimentSearches(), randomSearches(2210, 300)...)
+	// 2N³ wraps uint64 at N = 2^22; the steps themselves do not.
+	for _, io := range []float64{1, 1e6} {
+		searches = append(searches, search{machine.Rates{ComputeOps: 1000 * io, IOWords: io}, 1, MatMulWorkload{N: 1 << 22}, []int{1 << 24, 1 << 26}, 0.05})
+	}
+	// Subnormal, huge and invalid rates; tolerances past 1 and below 0.
+	extreme := []float64{math.SmallestNonzeroFloat64, 1e-310, 1e-300, 1, math.MaxFloat64, 0, -1, math.NaN()}
+	for _, c := range extreme {
+		for _, io := range extreme {
+			for _, w := range []Workload{MatMulWorkload{N: 5}, GridWorkload{Dim: 2, Size: 9, Iters: 1}, FFTWorkload{N: 16}} {
+				for _, tol := range []float64{0, 0.05, 1, 1.5, -1, math.NaN(), math.Inf(-1)} {
+					searches = append(searches, search{machine.Rates{ComputeOps: c, IOWords: io}, 1, w, []int{1, 2, 4, 16, 64}, tol})
+				}
+			}
+		}
+	}
+	var balanced, failed int
+	for _, s := range searches {
+		got, err := FindBalancedMemory(s.rates, s.cells, s.w, s.ladder, s.tol)
+		want, werr := linearScanFindBalancedMemory(s.rates, s.cells, s.w, s.ladder, s.tol)
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("%v: error %v, linear scan %v", s, err, werr)
+		}
+		if got != want {
+			t.Fatalf("%v: %+v, linear scan %+v", s, got, want)
+		}
+		if err == nil {
+			balanced++
+		} else {
+			failed++
+		}
+	}
+	// Both outcomes must be exercised for the comparison to mean much.
+	if balanced < 100 || failed < 50 {
+		t.Errorf("%d searches balanced and %d failed; the cases no longer cover both", balanced, failed)
+	}
+}
+
+// TestTotalsMatchStreams: every workload's Totals equals the machine's
+// TotalWork of its collected stream at every rung the experiment searches
+// and the random searches visit, ragged sizes included; where Steps fails
+// for a reason other than the step cap, Totals fails with the same error.
+func TestTotalsMatchStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects every rung's steps")
+	}
+	searches := append(experimentSearches(), randomSearches(2211, 120)...)
+	for _, w := range []Workload{MatMulWorkload{N: 1000}, GridWorkload{Dim: 2, Size: 37, Iters: 3}, GridWorkload{Dim: 3, Size: 37, Iters: 1}} {
+		searches = append(searches, search{w: w, cells: 1, ladder: arrayLadderLocal(1 << 12)})
+	}
+	seen := map[string]bool{}
+	for _, s := range searches {
+		for _, m := range s.ladder {
+			key := fmt.Sprintf("%s@%d", s.w.Name(), m*s.cells)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			seq, serr := s.w.Steps(m * s.cells)
+			got, err := s.w.Totals(m * s.cells)
+			if serr != nil {
+				if !strings.Contains(serr.Error(), "would need") && fmt.Sprint(err) != fmt.Sprint(serr) {
+					t.Fatalf("%s: Totals error %v, Steps error %v", key, err, serr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			in, ops, out := machine.TotalWork(slices.Collect(seq))
+			if want := (opcount.Totals{Reads: in, Ops: ops, Writes: out}); got != want {
+				t.Fatalf("%s: Totals %+v, stream %+v", key, got, want)
+			}
+		}
+	}
+	// Totals that do not fit in uint64 are refused, not wrapped: each
+	// pair is the largest size whose bound fits and the next.
+	for _, c := range []struct{ fits, overflows Workload }{
+		{MatMulWorkload{N: 1<<21 - 1}, MatMulWorkload{N: 1 << 21}},                                      // 2N³
+		{GridWorkload{Dim: 3, Size: 1 << 19, Iters: 9}, GridWorkload{Dim: 3, Size: 1 << 19, Iters: 10}}, // 13·N³·iters
+		{FFTWorkload{N: 1 << 55}, FFTWorkload{N: 1 << 56}},                                              // 5·N·log₂N
+	} {
+		if _, err := c.fits.Totals(1 << 60); err != nil {
+			t.Errorf("%s: %v", c.fits.Name(), err)
+		}
+		if _, err := c.overflows.Totals(1 << 60); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s: Totals error %v, want an overflow", c.overflows.Name(), err)
+		}
+	}
+}
+
+// linearScanFindBalancedMemory is the parent's FindBalancedMemory, which
+// simulates every rung, kept verbatim as the reference for
+// TestFindBalancedMemoryMatchesLinearScan.
+func linearScanFindBalancedMemory(rates machine.Rates, cells int, w Workload, ladder []int, tol float64) (BalancePoint, error) {
+	if cells < 1 {
+		return BalancePoint{}, fmt.Errorf("array: cell count %d must be ≥ 1", cells)
+	}
+	if len(ladder) == 0 {
+		return BalancePoint{}, fmt.Errorf("array: empty memory ladder")
+	}
+	prev := 0
+	for _, m := range ladder {
+		if m <= prev {
+			return BalancePoint{}, fmt.Errorf("array: ladder must be strictly increasing, got %d after %d", m, prev)
+		}
+		prev = m
+	}
+	for _, m := range ladder {
+		if m > math.MaxInt/cells {
+			return BalancePoint{}, fmt.Errorf("array: per-PE memory %d × %d cells overflows int", m, cells)
+		}
+		steps, err := w.Steps(m * cells)
+		if err != nil {
+			return BalancePoint{}, fmt.Errorf("array: %s at per-PE memory %d: %w", w.Name(), m, err)
+		}
+		metrics, err := Simulate(rates, steps)
+		if err != nil {
+			return BalancePoint{}, err
+		}
+		if !metrics.IOBound(tol) {
+			return BalancePoint{
+				PerPEMemory:     m,
+				AggregateMemory: m * cells,
+				Metrics:         metrics,
+			}, nil
+		}
+	}
+	return BalancePoint{}, fmt.Errorf("array: %s still I/O bound at per-PE memory %d", w.Name(), ladder[len(ladder)-1])
 }
 
 // The slice-building Steps implementations the streams replaced, kept

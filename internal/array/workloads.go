@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 
+	"balarch/internal/kernels"
 	"balarch/internal/machine"
+	"balarch/internal/opcount"
 )
 
 // MaxWorkloadSteps caps the macro-step streams so degenerate parameter
@@ -24,6 +27,10 @@ type Workload interface {
 	// over. Parameters and the MaxWorkloadSteps cap are checked before
 	// the sequence is returned.
 	Steps(mTotal int) (iter.Seq[machine.Step], error)
+	// Totals returns the exact sum of the steps Steps(mTotal) yields, from
+	// the kernel counter of the same decomposition, without generating
+	// them. A total that does not fit in uint64 is an error.
+	Totals(mTotal int) (opcount.Totals, error)
 	// Ratio is the asymptotic Ccomp/Cio at aggregate memory m, used to
 	// cross-check simulated balance points against the analytic model.
 	Ratio(m float64) float64
@@ -42,18 +49,39 @@ func (w MatMulWorkload) Name() string { return fmt.Sprintf("matmul N=%d", w.N) }
 // Ratio implements Workload.
 func (w MatMulWorkload) Ratio(m float64) float64 { return math.Sqrt(m) }
 
-// Steps implements Workload.
-func (w MatMulWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
+// spec is the kernel decomposition at aggregate memory mTotal: the
+// block side b = ⌊√mTotal⌋, at most N.
+func (w MatMulWorkload) spec(mTotal int) (kernels.MatMulSpec, error) {
 	if w.N < 1 {
-		return nil, fmt.Errorf("array: matmul N=%d must be ≥ 1", w.N)
+		return kernels.MatMulSpec{}, fmt.Errorf("array: matmul N=%d must be ≥ 1", w.N)
 	}
 	b := int(math.Sqrt(float64(mTotal)))
 	if b < 1 {
-		return nil, fmt.Errorf("array: memory %d too small for any block", mTotal)
+		return kernels.MatMulSpec{}, fmt.Errorf("array: memory %d too small for any block", mTotal)
 	}
-	if b > w.N {
-		b = w.N
+	return kernels.MatMulSpec{N: w.N, Block: min(b, w.N)}, nil
+}
+
+// Totals implements Workload. 2N³ bounds every total.
+func (w MatMulWorkload) Totals(mTotal int) (opcount.Totals, error) {
+	spec, err := w.spec(mTotal)
+	if err != nil {
+		return opcount.Totals{}, err
 	}
+	n := uint64(w.N)
+	if _, ok := product(2, n, n, n); !ok {
+		return opcount.Totals{}, overflowError(w, mTotal)
+	}
+	return kernels.CountBlockedMatMul(spec)
+}
+
+// Steps implements Workload.
+func (w MatMulWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
+	spec, err := w.spec(mTotal)
+	if err != nil {
+		return nil, err
+	}
+	b := spec.Block
 	nb := (w.N + b - 1) / b
 	if nb > MaxWorkloadSteps/nb { // nb*nb may overflow
 		return nil, fmt.Errorf("array: matmul would need %d×%d steps (> %d)", nb, nb, MaxWorkloadSteps)
@@ -96,18 +124,43 @@ func (w GridWorkload) Ratio(m float64) float64 {
 	return (4*d + 1) / (4 * d) * math.Pow(m, 1/d)
 }
 
-// Steps implements Workload.
-func (w GridWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
+// spec is the kernel decomposition at aggregate memory mTotal: the tile
+// side s = ⌊mTotal^(1/d)⌋, at most N.
+func (w GridWorkload) spec(mTotal int) (kernels.GridSpec, error) {
 	if w.Dim < 1 || w.Size < 3 || w.Iters < 1 {
-		return nil, fmt.Errorf("array: invalid grid workload %+v", w)
+		return kernels.GridSpec{}, fmt.Errorf("array: invalid grid workload %+v", w)
 	}
 	s := int(math.Floor(math.Pow(float64(mTotal), 1/float64(w.Dim))))
 	if s < 1 {
-		return nil, fmt.Errorf("array: memory %d too small for any tile", mTotal)
+		return kernels.GridSpec{}, fmt.Errorf("array: memory %d too small for any tile", mTotal)
 	}
-	if s > w.Size {
-		s = w.Size
+	return kernels.GridSpec{Dim: w.Dim, Size: w.Size, Tile: min(s, w.Size), Iters: w.Iters}, nil
+}
+
+// Totals implements Workload. (4d+1)·N^d·iters bounds every total: a tile
+// updates at most its points and exchanges at most 2d faces.
+func (w GridWorkload) Totals(mTotal int) (opcount.Totals, error) {
+	spec, err := w.spec(mTotal)
+	if err != nil {
+		return opcount.Totals{}, err
 	}
+	bound, ok := product(uint64(4*w.Dim+1), uint64(w.Iters))
+	for d := 0; ok && d < w.Dim; d++ {
+		bound, ok = product(bound, uint64(w.Size))
+	}
+	if !ok {
+		return opcount.Totals{}, overflowError(w, mTotal)
+	}
+	return kernels.CountRelaxTiled(spec)
+}
+
+// Steps implements Workload.
+func (w GridWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
+	spec, err := w.spec(mTotal)
+	if err != nil {
+		return nil, err
+	}
+	s := spec.Tile
 	tilesPerDim := (w.Size + s - 1) / s
 	nTiles := 1
 	for d := 0; d < w.Dim; d++ {
@@ -194,26 +247,42 @@ func (w FFTWorkload) Name() string { return fmt.Sprintf("fft N=%d", w.N) }
 // Ratio implements Workload.
 func (w FFTWorkload) Ratio(m float64) float64 { return 2.5 * math.Log2(m) }
 
-// Steps implements Workload.
-func (w FFTWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
+// spec is the kernel decomposition at aggregate memory mTotal: the block
+// is the largest power of two ≤ min(mTotal, N).
+func (w FFTWorkload) spec(mTotal int) (kernels.FFTSpec, error) {
 	if w.N < 2 || w.N&(w.N-1) != 0 {
-		return nil, fmt.Errorf("array: FFT N=%d must be a power of two ≥ 2", w.N)
+		return kernels.FFTSpec{}, fmt.Errorf("array: FFT N=%d must be a power of two ≥ 2", w.N)
 	}
 	b := 2
 	for b*2 <= mTotal && b*2 <= w.N {
 		b *= 2
 	}
 	if b > mTotal {
-		return nil, fmt.Errorf("array: memory %d below the minimum block of 2", mTotal)
+		return kernels.FFTSpec{}, fmt.Errorf("array: memory %d below the minimum block of 2", mTotal)
 	}
-	totalStages := 0
-	for v := w.N; v > 1; v >>= 1 {
-		totalStages++
+	return kernels.FFTSpec{N: w.N, Block: b}, nil
+}
+
+// Totals implements Workload. 5·N·log₂N, the flops, bounds every total.
+func (w FFTWorkload) Totals(mTotal int) (opcount.Totals, error) {
+	spec, err := w.spec(mTotal)
+	if err != nil {
+		return opcount.Totals{}, err
 	}
-	perPass := 0
-	for v := b; v > 1; v >>= 1 {
-		perPass++
+	if _, ok := product(5, uint64(w.N), uint64(bits.TrailingZeros(uint(w.N)))); !ok {
+		return opcount.Totals{}, overflowError(w, mTotal)
 	}
+	return kernels.CountBlockedFFT(spec)
+}
+
+// Steps implements Workload.
+func (w FFTWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
+	spec, err := w.spec(mTotal)
+	if err != nil {
+		return nil, err
+	}
+	totalStages := bits.TrailingZeros(uint(w.N))
+	perPass := bits.TrailingZeros(uint(spec.Block))
 	// Each pass runs lp = min(perPass, stages left) butterfly stages on
 	// groups of 2^lp points.
 	steps := 0
@@ -237,4 +306,22 @@ func (w FFTWorkload) Steps(mTotal int) (iter.Seq[machine.Step], error) {
 			}
 		}
 	}, nil
+}
+
+// product returns the product of the factors and whether it fits in
+// uint64.
+func product(factors ...uint64) (uint64, bool) {
+	p := uint64(1)
+	for _, f := range factors {
+		hi, lo := bits.Mul64(p, f)
+		if hi != 0 {
+			return 0, false
+		}
+		p = lo
+	}
+	return p, true
+}
+
+func overflowError(w Workload, mTotal int) error {
+	return fmt.Errorf("array: %s at memory %d: total work overflows uint64", w.Name(), mTotal)
 }

@@ -11,11 +11,11 @@ import (
 	"balarch/internal/textplot"
 )
 
-// RunE12Cache replays naive and blocked matmul address traces through LRU,
-// OPT and direct-mapped caches, the executable form of the paper's §1
-// motivation: a local memory only reduces I/O when the computation is
-// decomposed to exploit it, and the blocked schedule's measured traffic
-// matches the §3.1 counter model.
+// RunE12Cache replays naive and blocked matmul address traces through LRU
+// and OPT caches, the executable form of the paper's §1 motivation: a local
+// memory only reduces I/O when the computation is decomposed to exploit it,
+// and the blocked schedule's measured traffic matches the §3.1 counter
+// model.
 func RunE12Cache(ctx context.Context) (*report.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

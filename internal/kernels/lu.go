@@ -138,8 +138,11 @@ func BlockedLU(spec LUSpec, a *Dense, c *opcount.Counter) (*Dense, error) {
 	return m, nil
 }
 
-// CountBlockedLU walks the same tile structure as BlockedLU without
-// arithmetic, returning identical counts in O((N/b)²) time per step.
+// CountBlockedLU returns the counts BlockedLU records without arithmetic,
+// in O(N) time: per diagonal step of side r, with rest = N − s0 − r
+// trailing rows and columns in k = ⌈rest/b⌉ tiles, the panels and the
+// trailing update are sums over tiles whose sides add up to rest. The
+// totals are exact modulo 2^64.
 func CountBlockedLU(spec LUSpec) (opcount.Totals, error) {
 	if err := spec.Validate(); err != nil {
 		return opcount.Totals{}, err
@@ -148,6 +151,8 @@ func CountBlockedLU(spec LUSpec) (opcount.Totals, error) {
 	var t opcount.Totals
 	for s0 := 0; s0 < n; s0 += bs {
 		r := uint64(min(bs, n-s0))
+		rest := uint64(n - s0 - int(r))
+		k := (rest + uint64(bs) - 1) / uint64(bs)
 
 		// Diagonal tile: flops = Σ_{m=1}^{r-1} m + 2m² .
 		t.Reads += r * r
@@ -158,30 +163,21 @@ func CountBlockedLU(spec LUSpec) (opcount.Totals, error) {
 		t.Ops += diagOps
 		t.Writes += r * r
 
-		// Per-row triangular solve against U_ss: Σ_{k=0}^{r-1} (2k+1) = r².
-		// Per-column unit-lower solve: Σ_{k=0}^{r-1} 2k = r(r-1).
-		for i0 := s0 + int(r); i0 < n; i0 += bs {
-			ri := uint64(min(bs, n-i0))
-			t.Reads += ri * r
-			t.Ops += ri * r * r
-			t.Writes += ri * r
-		}
-		for j0 := s0 + int(r); j0 < n; j0 += bs {
-			cj := uint64(min(bs, n-j0))
-			t.Reads += r * cj
-			t.Ops += cj * r * (r - 1)
-			t.Writes += r * cj
-		}
-		for i0 := s0 + int(r); i0 < n; i0 += bs {
-			ri := uint64(min(bs, n-i0))
-			t.Reads += ri * r
-			for j0 := s0 + int(r); j0 < n; j0 += bs {
-				cj := uint64(min(bs, n-j0))
-				t.Reads += r*cj + ri*cj
-				t.Ops += 2 * ri * r * cj
-				t.Writes += ri * cj
-			}
-		}
+		// Column panel: each of its rest rows is a triangular solve
+		// against U_ss, Σ_{k=0}^{r-1} (2k+1) = r² flops. Row panel: each
+		// of its rest columns is a unit-lower solve, Σ_{k=0}^{r-1} 2k =
+		// r(r-1) flops. Each panel tile is read and written once.
+		t.Reads += 2 * r * rest
+		t.Ops += rest*r*r + rest*r*(r-1)
+		t.Writes += 2 * r * rest
+
+		// Trailing update: each of the k row tiles reads its L tile
+		// once (r·rest in all); each of the k² tile pairs reads a U tile
+		// and a destination tile (k·r·rest + rest²), updates it at
+		// 2·r flops a point and writes it back.
+		t.Reads += r*rest + k*r*rest + rest*rest
+		t.Ops += 2 * r * rest * rest
+		t.Writes += rest * rest
 	}
 	return t, nil
 }

@@ -189,3 +189,81 @@ func TestBlockedLUProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCountBlockedLUMatchesTileWalk: the O(N) count equals the tile walk
+// it replaced, kept below verbatim, with == on every field: every N ≤ 70
+// at every block, plus sizes whose totals wrap uint64.
+func TestCountBlockedLUMatchesTileWalk(t *testing.T) {
+	var specs []LUSpec
+	for n := 1; n <= 70; n++ {
+		for bs := 1; bs <= n; bs++ {
+			specs = append(specs, LUSpec{N: n, Block: bs})
+		}
+	}
+	specs = append(specs,
+		LUSpec{N: 1000, Block: 37},
+		LUSpec{N: 1 << 22, Block: 1 << 20},     // 2·r·rest² wraps at the first step
+		LUSpec{N: 5_000_001, Block: 2_000_000}, // ragged, wraps
+	)
+	for _, spec := range specs {
+		got, err := CountBlockedLU(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := walkBlockedLU(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%+v: count %+v, walk %+v", spec, got, want)
+		}
+	}
+}
+
+// walkBlockedLU is the parent's CountBlockedLU, kept verbatim as the
+// reference for TestCountBlockedLUMatchesTileWalk.
+func walkBlockedLU(spec LUSpec) (opcount.Totals, error) {
+	if err := spec.Validate(); err != nil {
+		return opcount.Totals{}, err
+	}
+	n, bs := spec.N, spec.Block
+	var t opcount.Totals
+	for s0 := 0; s0 < n; s0 += bs {
+		r := uint64(min(bs, n-s0))
+
+		// Diagonal tile: flops = Σ_{m=1}^{r-1} m + 2m² .
+		t.Reads += r * r
+		var diagOps uint64
+		for m := uint64(1); m < r; m++ {
+			diagOps += m + 2*m*m
+		}
+		t.Ops += diagOps
+		t.Writes += r * r
+
+		// Per-row triangular solve against U_ss: Σ_{k=0}^{r-1} (2k+1) = r².
+		// Per-column unit-lower solve: Σ_{k=0}^{r-1} 2k = r(r-1).
+		for i0 := s0 + int(r); i0 < n; i0 += bs {
+			ri := uint64(min(bs, n-i0))
+			t.Reads += ri * r
+			t.Ops += ri * r * r
+			t.Writes += ri * r
+		}
+		for j0 := s0 + int(r); j0 < n; j0 += bs {
+			cj := uint64(min(bs, n-j0))
+			t.Reads += r * cj
+			t.Ops += cj * r * (r - 1)
+			t.Writes += r * cj
+		}
+		for i0 := s0 + int(r); i0 < n; i0 += bs {
+			ri := uint64(min(bs, n-i0))
+			t.Reads += ri * r
+			for j0 := s0 + int(r); j0 < n; j0 += bs {
+				cj := uint64(min(bs, n-j0))
+				t.Reads += r*cj + ri*cj
+				t.Ops += 2 * ri * r * cj
+				t.Writes += ri * cj
+			}
+		}
+	}
+	return t, nil
+}

@@ -193,3 +193,56 @@ func TestMatMulWorkInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCountBlockedMatMulMatchesBlockWalk: the closed form equals the
+// per-block walk it replaced, kept below verbatim, with == on every field:
+// every N ≤ 40 at every block, ragged sizes, and sizes whose 2N³ wraps
+// uint64 (the walk wraps the same way).
+func TestCountBlockedMatMulMatchesBlockWalk(t *testing.T) {
+	var specs []MatMulSpec
+	for n := 1; n <= 40; n++ {
+		for bs := 1; bs <= n; bs++ {
+			specs = append(specs, MatMulSpec{N: n, Block: bs})
+		}
+	}
+	specs = append(specs,
+		MatMulSpec{N: 1000, Block: 31},
+		MatMulSpec{N: 2048, Block: 45},
+		MatMulSpec{N: 1 << 22, Block: 1 << 20},           // 2N³ = 2^67
+		MatMulSpec{N: 3_000_000_001, Block: 999_999_999}, // ragged, wraps
+		MatMulSpec{N: 1<<62 + 3, Block: 1 << 61},
+	)
+	for _, spec := range specs {
+		got, err := CountBlockedMatMul(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := walkBlockedMatMul(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%+v: closed form %+v, walk %+v", spec, got, want)
+		}
+	}
+}
+
+// walkBlockedMatMul is the parent's CountBlockedMatMul, kept verbatim as
+// the reference for TestCountBlockedMatMulMatchesBlockWalk.
+func walkBlockedMatMul(spec MatMulSpec) (opcount.Totals, error) {
+	if err := spec.Validate(); err != nil {
+		return opcount.Totals{}, err
+	}
+	n, bs := uint64(spec.N), spec.Block
+	var t opcount.Totals
+	for i0 := 0; i0 < spec.N; i0 += bs {
+		rows := uint64(min(bs, spec.N-i0))
+		for j0 := 0; j0 < spec.N; j0 += bs {
+			cols := uint64(min(bs, spec.N-j0))
+			t.Reads += n * (rows + cols)
+			t.Ops += 2 * n * rows * cols
+			t.Writes += rows * cols
+		}
+	}
+	return t, nil
+}

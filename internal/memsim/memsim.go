@@ -12,7 +12,10 @@
 // paper's Θ(√M) compute-to-I/O ratio.
 package memsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Ref is one word-granular memory reference.
 type Ref struct {
@@ -176,7 +179,11 @@ func SimulateDirectMapped(trace []Ref, capacity int) (Result, error) {
 // SimulateOPT replays the trace through a fully associative cache with
 // Belady's optimal (furthest-future-use) replacement, the offline lower
 // bound no online policy can beat. It runs in O(T log C) time using a lazy
-// max-heap over next-use distances.
+// max-heap over next-use distances. Every hit leaves a stale entry behind,
+// so when the heap outgrows 2·capacity+64 entries it is filtered to the
+// live ones and rebuilt, in O(C) amortized over the Ω(C) pushes since the
+// last rebuild. Only words never referenced again share a next use, so
+// the heap's order among ties cannot change the Result.
 func SimulateOPT(trace []Ref, capacity int) (Result, error) {
 	if err := validateCapacity(capacity); err != nil {
 		return Result{}, err
@@ -200,26 +207,30 @@ func SimulateOPT(trace []Ref, capacity int) (Result, error) {
 	h := make(optHeap, 0, capacity)
 	for t, ref := range trace {
 		res.Accesses++
-		if _, ok := resident[ref.Addr]; ok {
-			resident[ref.Addr] = nextUse[t]
-			h.push(optEntry{nextUse: nextUse[t], addr: ref.Addr})
-			continue
-		}
-		res.Misses++
-		if len(resident) == capacity {
-			// Evict the resident word whose next use is furthest;
-			// skip stale heap entries lazily.
-			for {
-				e := h.pop()
-				if cur, ok := resident[e.addr]; ok && cur == e.nextUse {
-					delete(resident, e.addr)
-					res.Evictions++
-					break
+		if _, ok := resident[ref.Addr]; !ok {
+			res.Misses++
+			if len(resident) == capacity {
+				// Evict the resident word whose next use is
+				// furthest; skip stale heap entries lazily.
+				for {
+					e := h.pop()
+					if cur, ok := resident[e.addr]; ok && cur == e.nextUse {
+						delete(resident, e.addr)
+						res.Evictions++
+						break
+					}
 				}
 			}
 		}
 		resident[ref.Addr] = nextUse[t]
 		h.push(optEntry{nextUse: nextUse[t], addr: ref.Addr})
+		if len(h) > 2*capacity+64 {
+			h = slices.DeleteFunc(h, func(e optEntry) bool {
+				cur, ok := resident[e.addr]
+				return !ok || cur != e.nextUse
+			})
+			h.heapify()
+		}
 	}
 	return res, nil
 }
@@ -245,28 +256,41 @@ func (h *optHeap) push(e optEntry) {
 	}
 }
 
+// heapify restores the heap order of arbitrary entries.
+func (h optHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
 func (h *optHeap) pop() optEntry {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
 	*h = old[:n]
-	i := 0
+	h.down(0)
+	return top
+}
+
+// down sifts the entry at i toward the leaves until both children's next
+// uses are no later than its own.
+func (h optHeap) down(i int) {
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if child+1 < n && (*h)[child+1].nextUse > (*h)[child].nextUse {
+		if child+1 < n && h[child+1].nextUse > h[child].nextUse {
 			child++
 		}
-		if (*h)[i].nextUse >= (*h)[child].nextUse {
+		if h[i].nextUse >= h[child].nextUse {
 			break
 		}
-		(*h)[i], (*h)[child] = (*h)[child], (*h)[i]
+		h[i], h[child] = h[child], h[i]
 		i = child
 	}
-	return top
 }
 
 // DistinctWords returns the number of distinct addresses in the trace — the

@@ -261,3 +261,100 @@ func TestLRUStackProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOPTBoundedHeapMatchesUnbounded: filtering the lazy heap leaves every
+// Result unchanged, against the unfiltered simulation kept below verbatim:
+// both E12 traces (matmul n = 48, naive and blocked at b = 8) at E12's
+// capacities and at 1, 65 and 6912 words, and seeded random traces at
+// every capacity up to one past their distinct words.
+func TestOPTBoundedHeapMatchesUnbounded(t *testing.T) {
+	check := func(name string, trace []Ref, capacity int) {
+		t.Helper()
+		got, err := SimulateOPT(trace, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := unboundedSimulateOPT(trace, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s, capacity %d: %+v, unbounded heap %+v", name, capacity, got, want)
+		}
+	}
+	naive, err := NaiveMatMulTrace(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked, err := BlockedMatMulTrace(48, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []int{1, 32, 65, 96, 256, 1024, 4096, 6912} {
+		check("naive", naive, capacity)
+		check("blocked", blocked, capacity)
+	}
+	rng := rand.New(rand.NewSource(2213))
+	for range 30 {
+		words := 1 + rng.Intn(120)
+		trace := make([]Ref, 1+rng.Intn(3000))
+		for i := range trace {
+			// Squaring skews references toward low addresses.
+			u := rng.Float64()
+			trace[i] = Ref{Addr: uint64(u * u * float64(words)), Write: rng.Intn(4) == 0}
+		}
+		for capacity := 1; capacity <= int(DistinctWords(trace))+1; capacity++ {
+			check("random", trace, capacity)
+		}
+	}
+}
+
+// unboundedSimulateOPT is the parent's SimulateOPT, whose heap keeps every
+// stale entry, kept verbatim as the reference for
+// TestOPTBoundedHeapMatchesUnbounded.
+func unboundedSimulateOPT(trace []Ref, capacity int) (Result, error) {
+	if err := validateCapacity(capacity); err != nil {
+		return Result{}, err
+	}
+	const never = int(^uint(0) >> 1) // no future use
+
+	// nextUse[t] = next position after t at which trace[t].Addr recurs.
+	nextUse := make([]int, len(trace))
+	lastSeen := make(map[uint64]int, capacity*2)
+	for t := len(trace) - 1; t >= 0; t-- {
+		if nxt, ok := lastSeen[trace[t].Addr]; ok {
+			nextUse[t] = nxt
+		} else {
+			nextUse[t] = never
+		}
+		lastSeen[trace[t].Addr] = t
+	}
+
+	var res Result
+	resident := make(map[uint64]int, capacity) // addr → its current next use
+	h := make(optHeap, 0, capacity)
+	for t, ref := range trace {
+		res.Accesses++
+		if _, ok := resident[ref.Addr]; ok {
+			resident[ref.Addr] = nextUse[t]
+			h.push(optEntry{nextUse: nextUse[t], addr: ref.Addr})
+			continue
+		}
+		res.Misses++
+		if len(resident) == capacity {
+			// Evict the resident word whose next use is furthest;
+			// skip stale heap entries lazily.
+			for {
+				e := h.pop()
+				if cur, ok := resident[e.addr]; ok && cur == e.nextUse {
+					delete(resident, e.addr)
+					res.Evictions++
+					break
+				}
+			}
+		}
+		resident[ref.Addr] = nextUse[t]
+		h.push(optEntry{nextUse: nextUse[t], addr: ref.Addr})
+	}
+	return res, nil
+}

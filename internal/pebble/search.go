@@ -50,38 +50,45 @@ func OptimalIO(d *DAG, s int) (int, error) {
 	type state struct{ red, blue uint32 }
 	start := state{0, blueInit}
 	dist := map[uint64]int{key(start.red, start.blue): 0}
-	// 0-1 BFS deque.
-	deque := []state{start}
-	popFront := func() state {
-		st := deque[0]
-		deque = deque[1:]
-		return st
+	// 0-1 BFS one distance level at a time: cur holds the states queued
+	// at distance level, which zero-cost moves push to, and next those at
+	// level+1, which cost-1 moves push to. A state whose distance dropped
+	// after it was queued is skipped where it was queued.
+	var cur, next []state
+	level := 0
+	relax := func(st state, cost int) {
+		k := key(st.red, st.blue)
+		nd := level + cost
+		if old, ok := dist[k]; ok && old <= nd {
+			return
+		}
+		dist[k] = nd
+		if cost == 0 {
+			cur = append(cur, st)
+		} else {
+			next = append(next, st)
+		}
 	}
 
-	for len(deque) > 0 {
-		st := popFront()
-		cur := dist[key(st.red, st.blue)]
+	cur = append(cur, start)
+	for len(cur) > 0 || len(next) > 0 {
+		if len(cur) == 0 {
+			cur, next = next, cur
+			level++
+		}
+		st := cur[len(cur)-1]
+		cur = cur[:len(cur)-1]
+		if dist[key(st.red, st.blue)] != level {
+			continue
+		}
 		if st.blue&goal == goal {
-			return cur, nil
+			return level, nil
 		}
 		if len(dist) > MaxSearchStates {
 			return 0, fmt.Errorf("pebble: search exceeded %d states", MaxSearchStates)
 		}
 
 		redCount := bits.OnesCount32(st.red)
-		relax := func(next state, cost int) {
-			k := key(next.red, next.blue)
-			nd := cur + cost
-			if old, ok := dist[k]; ok && old <= nd {
-				return
-			}
-			dist[k] = nd
-			if cost == 0 {
-				deque = append([]state{next}, deque...)
-			} else {
-				deque = append(deque, next)
-			}
-		}
 
 		// Placements: every vertex not currently red that is either
 		// computable (all preds red) or inputtable (blue).

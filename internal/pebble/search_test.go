@@ -1,6 +1,11 @@
 package pebble
 
-import "testing"
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
 
 func TestOptimalChain(t *testing.T) {
 	d, err := ChainDAG(6)
@@ -248,4 +253,170 @@ func TestHongKungFloorsHoldWhereTheyBind(t *testing.T) {
 			t.Errorf("matmul n=%d S=%d: pebbling I/O %d below the Hong–Kung bound %v", tc.n, tc.s, res.IO(), bound)
 		}
 	}
+}
+
+// randomDAG draws a DAG of n vertices in which each vertex consumes up to
+// three of the four before it, so sinks, the outputs, stay few.
+func randomDAG(rng *rand.Rand, n int) *DAG {
+	d := NewDAG(n)
+	for v := 1; v < n; v++ {
+		w := min(v, 4)
+		for _, u := range rng.Perm(w)[:rng.Intn(min(w, 3)+1)] {
+			d.AddEdge(v-1-u, v)
+		}
+	}
+	for v := range n {
+		if len(d.Succs(v)) == 0 {
+			d.MarkOutput(v)
+		}
+	}
+	return d
+}
+
+// TestOptimalIOMatchesDequeSearch: the level-by-level search returns the
+// same optimum and the same error text as the deque search it replaced,
+// kept below verbatim, on three seeded random DAGs of each size from 1 to
+// 12 vertices at every red pebble budget from 1 to n+1.
+func TestOptimalIOMatchesDequeSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2212))
+	var solved, refused int
+	for i := range 36 {
+		d := randomDAG(rng, 1+i%12)
+		for s := 1; s <= d.Len()+1; s++ {
+			got, err := OptimalIO(d, s)
+			want, werr := dequeOptimalIO(d, s)
+			if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("%d vertices, S=%d: (%d, %v), deque search (%d, %v)", d.Len(), s, got, err, want, werr)
+			}
+			if err == nil {
+				solved++
+			} else {
+				refused++
+			}
+		}
+	}
+	if solved < 100 || refused < 10 {
+		t.Errorf("%d budgets solved and %d refused; the DAGs no longer cover both", solved, refused)
+	}
+}
+
+// dequeOptimalIO is the parent's OptimalIO, whose deque prepends on every
+// zero-cost move, kept verbatim as the reference for
+// TestOptimalIOMatchesDequeSearch.
+func dequeOptimalIO(d *DAG, s int) (int, error) {
+	n := d.Len()
+	if n > 32 {
+		return 0, fmt.Errorf("pebble: exhaustive search supports ≤ 32 vertices, got %d", n)
+	}
+	if s < 1 {
+		return 0, fmt.Errorf("pebble: red pebble budget %d must be ≥ 1", s)
+	}
+	if need := d.MaxInDegree() + 1; s < need && len(d.Outputs()) > 0 {
+		// With fewer pebbles than an operation's operands + result, no
+		// non-input vertex can ever be computed.
+		for _, v := range d.Outputs() {
+			if !d.IsInput(v) {
+				return 0, fmt.Errorf("pebble: %d red pebbles cannot compute any vertex (need %d)", s, need)
+			}
+		}
+	}
+
+	var blueInit uint32
+	for _, v := range d.Inputs() {
+		blueInit |= 1 << uint(v)
+	}
+	var goal uint32
+	for _, v := range d.Outputs() {
+		goal |= 1 << uint(v)
+	}
+
+	type state struct{ red, blue uint32 }
+	start := state{0, blueInit}
+	dist := map[uint64]int{key(start.red, start.blue): 0}
+	// 0-1 BFS deque.
+	deque := []state{start}
+	popFront := func() state {
+		st := deque[0]
+		deque = deque[1:]
+		return st
+	}
+
+	for len(deque) > 0 {
+		st := popFront()
+		cur := dist[key(st.red, st.blue)]
+		if st.blue&goal == goal {
+			return cur, nil
+		}
+		if len(dist) > MaxSearchStates {
+			return 0, fmt.Errorf("pebble: search exceeded %d states", MaxSearchStates)
+		}
+
+		redCount := bits.OnesCount32(st.red)
+		relax := func(next state, cost int) {
+			k := key(next.red, next.blue)
+			nd := cur + cost
+			if old, ok := dist[k]; ok && old <= nd {
+				return
+			}
+			dist[k] = nd
+			if cost == 0 {
+				deque = append([]state{next}, deque...)
+			} else {
+				deque = append(deque, next)
+			}
+		}
+
+		// Placements: every vertex not currently red that is either
+		// computable (all preds red) or inputtable (blue).
+		for v := 0; v < n; v++ {
+			bit := uint32(1) << uint(v)
+			if st.red&bit != 0 {
+				continue
+			}
+			computable := !d.IsInput(v)
+			if computable {
+				for _, p := range d.Preds(v) {
+					if st.red&(1<<uint(p)) == 0 {
+						computable = false
+						break
+					}
+				}
+			}
+			inputtable := st.blue&bit != 0
+			if !computable && !inputtable {
+				continue
+			}
+			cost := 1 // Input
+			if computable {
+				cost = 0 // Compute is free; prefer it when legal
+			}
+			if redCount < s {
+				relax(state{st.red | bit, st.blue}, cost)
+			} else {
+				// Evict one red pebble first. When computing,
+				// the victim must not be one of v's operands.
+				var protected uint32
+				if computable {
+					for _, p := range d.Preds(v) {
+						protected |= 1 << uint(p)
+					}
+				}
+				for u := 0; u < n; u++ {
+					ubit := uint32(1) << uint(u)
+					if st.red&ubit == 0 || protected&ubit != 0 {
+						continue
+					}
+					relax(state{st.red&^ubit | bit, st.blue}, cost)
+				}
+			}
+		}
+		// Outputs: write any red, not-yet-blue vertex.
+		for v := 0; v < n; v++ {
+			bit := uint32(1) << uint(v)
+			if st.red&bit != 0 && st.blue&bit == 0 {
+				relax(state{st.red, st.blue | bit}, 1)
+			}
+		}
+	}
+	return 0, fmt.Errorf("pebble: no pebbling with %d red pebbles reaches all outputs", s)
 }
