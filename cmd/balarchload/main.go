@@ -218,7 +218,7 @@ func buildClient(url string, inprocess bool, parallel, retries int, trace bool, 
 	noop := func() {}
 	var opts []client.Option
 	if retries > 1 {
-		opts = append(opts, client.WithRetry(retries, 50*time.Millisecond))
+		opts = append(opts, client.WithRetryPolicy(client.RetryPolicy{Attempts: retries, Backoff: 50 * time.Millisecond}))
 	}
 	if trace {
 		opts = append(opts, client.WithTracing())

@@ -113,15 +113,3 @@ func BenchmarkExternalSort(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkGivensQR(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	a := NewDenseRandom(64, 64, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var c opcount.Counter
-		if _, _, err := GivensQR(a, &c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

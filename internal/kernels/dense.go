@@ -1,6 +1,6 @@
 // Package kernels provides real, instrumented implementations of every
 // computation analyzed in Kung (1985) §3: blocked matrix multiplication,
-// blocked Gaussian elimination and Givens QR triangularization,
+// blocked Gaussian elimination (the §3.2 triangularization),
 // d-dimensional grid relaxation, the radix-2 and blocked external FFT,
 // two-phase external merge sort, and the I/O-bounded kernels (matrix-vector
 // product, triangular solve).
@@ -79,19 +79,6 @@ func (m *Dense) MaxAbsDiff(other *Dense) float64 {
 		worst = math.Max(worst, math.Abs(v-other.Data[i]))
 	}
 	return worst
-}
-
-// IsUpperTriangular reports whether all elements strictly below the diagonal
-// are within tol of zero.
-func (m *Dense) IsUpperTriangular(tol float64) bool {
-	for i := 1; i < m.Rows; i++ {
-		for j := 0; j < i && j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // MulRef computes the reference product m × other with the textbook triple

@@ -48,32 +48,21 @@ func (s SortSpec) MergePasses() int {
 // comparison as one operation and every key moved in or out of the PE as one
 // I/O word. The input slice is not modified.
 func ExternalSort(spec SortSpec, input []int64, c *opcount.Counter) ([]int64, error) {
-	out, _, _, err := externalSortInternal(spec, input, c, c)
-	return out, err
+	return externalSortInternal(spec, input, c, c)
 }
 
-// ExternalSortPhased runs the same computation with the two phases counted
-// separately, so §3.5's per-phase claim — both phases individually achieve
-// R = Θ(log₂M) — can be checked, not just the aggregate.
-func ExternalSortPhased(spec SortSpec, input []int64) (out []int64, phase1, phase2 opcount.Totals, err error) {
-	var c1, c2 opcount.Counter
-	out, _, _, err = externalSortInternal(spec, input, &c1, &c2)
-	return out, c1.Snapshot(), c2.Snapshot(), err
-}
-
-// externalSortInternal implements both entry points: sortCounter accounts
-// phase 1 (run formation), mergeCounter phase 2 (the M-way merges). The two
-// may be the same counter.
-func externalSortInternal(spec SortSpec, input []int64, sortCounter, mergeCounter *opcount.Counter) ([]int64, opcount.Totals, opcount.Totals, error) {
+// externalSortInternal implements ExternalSort with the two phases counted
+// apart: sortCounter accounts phase 1 (run formation), mergeCounter phase 2
+// (the M-way merges). The two may be the same counter.
+func externalSortInternal(spec SortSpec, input []int64, sortCounter, mergeCounter *opcount.Counter) ([]int64, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, opcount.Totals{}, opcount.Totals{}, err
+		return nil, err
 	}
 	if len(input) != spec.N {
-		return nil, opcount.Totals{}, opcount.Totals{},
-			fmt.Errorf("kernels: input length %d does not match spec N=%d", len(input), spec.N)
+		return nil, fmt.Errorf("kernels: input length %d does not match spec N=%d", len(input), spec.N)
 	}
 	if spec.N == 0 {
-		return nil, opcount.Totals{}, opcount.Totals{}, nil
+		return nil, nil
 	}
 
 	// Phase 1: produce sorted runs of up to M keys.
@@ -98,7 +87,7 @@ func externalSortInternal(spec SortSpec, input []int64, sortCounter, mergeCounte
 		}
 		runs = next
 	}
-	return runs[0], sortCounter.Snapshot(), mergeCounter.Snapshot(), nil
+	return runs[0], nil
 }
 
 // HeapSortKeys sorts keys in place with bottom-up heapsort, counting

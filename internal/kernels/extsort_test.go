@@ -230,20 +230,23 @@ func TestExternalSortProperty(t *testing.T) {
 	}
 }
 
-// TestExternalSortPhasedBothPhasesLogM is §3.5's per-phase sentence as a
-// test: "Therefore for both phases, we have Ccomp/Cio = O(log₂M)" — each
-// phase individually tracks log₂M, not just the aggregate.
-func TestExternalSortPhasedBothPhasesLogM(t *testing.T) {
+// TestExternalSortBothPhasesLogM is §3.5's per-phase sentence as a test:
+// "Therefore for both phases, we have Ccomp/Cio = O(log₂M)" — each phase,
+// counted on its own counter, individually tracks log₂M, not just the
+// aggregate.
+func TestExternalSortBothPhasesLogM(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	type phaseRatios struct{ p1, p2 float64 }
 	byM := map[int]phaseRatios{}
 	for _, m := range []int{32, 256} {
 		n := m * m // one genuine M-way merge in phase 2
 		input := randomKeys(n, rng)
-		out, p1, p2, err := ExternalSortPhased(SortSpec{N: n, M: m}, input)
+		var c1, c2 opcount.Counter
+		out, err := externalSortInternal(SortSpec{N: n, M: m}, input, &c1, &c2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p1, p2 := c1.Snapshot(), c2.Snapshot()
 		if !isSorted(out) {
 			t.Fatal("phased sort produced unsorted output")
 		}
@@ -279,11 +282,11 @@ func TestPhasedMatchesAggregate(t *testing.T) {
 	if _, err := ExternalSort(SortSpec{N: n, M: m}, input, &c); err != nil {
 		t.Fatal(err)
 	}
-	_, p1, p2, err := ExternalSortPhased(SortSpec{N: n, M: m}, input)
-	if err != nil {
+	var c1, c2 opcount.Counter
+	if _, err := externalSortInternal(SortSpec{N: n, M: m}, input, &c1, &c2); err != nil {
 		t.Fatal(err)
 	}
-	whole := c.Snapshot()
+	p1, p2, whole := c1.Snapshot(), c2.Snapshot(), c.Snapshot()
 	if p1.Ops+p2.Ops != whole.Ops || p1.Cio()+p2.Cio() != whole.Cio() {
 		t.Errorf("phases (%+v + %+v) != whole %+v", p1, p2, whole)
 	}

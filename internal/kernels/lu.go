@@ -3,7 +3,6 @@ package kernels
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"balarch/internal/opcount"
 )
@@ -139,47 +138,58 @@ func BlockedLU(spec LUSpec, a *Dense, c *opcount.Counter) (*Dense, error) {
 }
 
 // CountBlockedLU returns the counts BlockedLU records without arithmetic,
-// in O(N) time: per diagonal step of side r, with rest = N − s0 − r
-// trailing rows and columns in k = ⌈rest/b⌉ tiles, the panels and the
-// trailing update are sums over tiles whose sides add up to rest. The
-// totals are exact modulo 2^64.
+// in O(N) time, as the sum of luStep over the panel steps. The totals are
+// exact modulo 2^64.
 func CountBlockedLU(spec LUSpec) (opcount.Totals, error) {
 	if err := spec.Validate(); err != nil {
 		return opcount.Totals{}, err
 	}
-	n, bs := spec.N, spec.Block
 	var t opcount.Totals
-	for s0 := 0; s0 < n; s0 += bs {
-		r := uint64(min(bs, n-s0))
-		rest := uint64(n - s0 - int(r))
-		k := (rest + uint64(bs) - 1) / uint64(bs)
-
-		// Diagonal tile: flops = Σ_{m=1}^{r-1} m + 2m² .
-		t.Reads += r * r
-		var diagOps uint64
-		for m := uint64(1); m < r; m++ {
-			diagOps += m + 2*m*m
-		}
-		t.Ops += diagOps
-		t.Writes += r * r
-
-		// Column panel: each of its rest rows is a triangular solve
-		// against U_ss, Σ_{k=0}^{r-1} (2k+1) = r² flops. Row panel: each
-		// of its rest columns is a unit-lower solve, Σ_{k=0}^{r-1} 2k =
-		// r(r-1) flops. Each panel tile is read and written once.
-		t.Reads += 2 * r * rest
-		t.Ops += rest*r*r + rest*r*(r-1)
-		t.Writes += 2 * r * rest
-
-		// Trailing update: each of the k row tiles reads its L tile
-		// once (r·rest in all); each of the k² tile pairs reads a U tile
-		// and a destination tile (k·r·rest + rest²), updates it at
-		// 2·r flops a point and writes it back.
-		t.Reads += r*rest + k*r*rest + rest*rest
-		t.Ops += 2 * r * rest * rest
-		t.Writes += rest * rest
+	for s0 := 0; s0 < spec.N; s0 += spec.Block {
+		st := luStep(spec.N, spec.Block, s0)
+		t.Ops += st.Ops
+		t.Reads += st.Reads
+		t.Writes += st.Writes
 	}
 	return t, nil
+}
+
+// luStep returns the counts of the one panel step of the N×N, block-bs
+// triangularization whose diagonal tile starts at s0. For a diagonal tile of
+// side r, with rest = N − s0 − r trailing rows and columns in k = ⌈rest/b⌉
+// tiles, the panels and the trailing update are sums over tiles whose sides
+// add up to rest. Per step the ratio stays near 2b/3 until the trailing
+// matrix shrinks to a few tiles: §3.2's "the same ratio is maintained for
+// all the steps".
+func luStep(n, bs, s0 int) opcount.Totals {
+	r := uint64(min(bs, n-s0))
+	rest := uint64(n - s0 - int(r))
+	k := (rest + uint64(bs) - 1) / uint64(bs)
+	var t opcount.Totals
+
+	// Diagonal tile: flops = Σ_{m=1}^{r-1} m + 2m² .
+	t.Reads += r * r
+	for m := uint64(1); m < r; m++ {
+		t.Ops += m + 2*m*m
+	}
+	t.Writes += r * r
+
+	// Column panel: each of its rest rows is a triangular solve
+	// against U_ss, Σ_{k=0}^{r-1} (2k+1) = r² flops. Row panel: each
+	// of its rest columns is a unit-lower solve, Σ_{k=0}^{r-1} 2k =
+	// r(r-1) flops. Each panel tile is read and written once.
+	t.Reads += 2 * r * rest
+	t.Ops += rest*r*r + rest*r*(r-1)
+	t.Writes += 2 * r * rest
+
+	// Trailing update: each of the k row tiles reads its L tile
+	// once (r·rest in all); each of the k² tile pairs reads a U tile
+	// and a destination tile (k·r·rest + rest²), updates it at
+	// 2·r flops a point and writes it back.
+	t.Reads += r*rest + k*r*rest + rest*rest
+	t.Ops += 2 * r * rest * rest
+	t.Writes += rest * rest
+	return t
 }
 
 // LURatioSweep measures the blocked triangularization ratio across block
@@ -220,48 +230,4 @@ func ReconstructLU(packed *Dense) *Dense {
 		}
 	}
 	return out
-}
-
-// GivensQR triangularizes a copy of a with Givens rotations, returning the
-// upper-triangular factor U and the orthogonal factor Q such that Q·A = U
-// (paper §3.2 names Givens rotation as a standard triangularization
-// algorithm; it is also the kernel of the Gentleman–Kung systolic array).
-// Arithmetic operations are counted; the streaming I/O analysis of §3.2 is
-// exercised by the blocked LU kernel.
-func GivensQR(a *Dense, c *opcount.Counter) (u, q *Dense, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("kernels: GivensQR requires a square matrix")
-	}
-	n := a.Rows
-	u = a.Clone()
-	q = NewDense(n, n)
-	for i := 0; i < n; i++ {
-		q.Set(i, i, 1)
-	}
-	for j := 0; j < n; j++ {
-		for i := n - 1; i > j; i-- {
-			// Rotate rows (i-1, i) to zero u(i, j).
-			x, y := u.At(i-1, j), u.At(i, j)
-			if y == 0 {
-				continue
-			}
-			r := math.Hypot(x, y)
-			cs, sn := x/r, y/r
-			c.Ops(6) // hypot (≈4) + two divides
-			applyGivens(u, i-1, i, cs, sn, j)
-			c.Ops(6 * (n - j))
-			applyGivens(q, i-1, i, cs, sn, 0)
-			c.Ops(6 * n)
-		}
-	}
-	return u, q, nil
-}
-
-// applyGivens rotates rows r0 and r1 of m by (cs, sn) starting at column lo.
-func applyGivens(m *Dense, r0, r1 int, cs, sn float64, lo int) {
-	for j := lo; j < m.Cols; j++ {
-		a, b := m.At(r0, j), m.At(r1, j)
-		m.Set(r0, j, cs*a+sn*b)
-		m.Set(r1, j, -sn*a+cs*b)
-	}
 }

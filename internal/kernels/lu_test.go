@@ -126,51 +126,6 @@ func TestLUSpecValidation(t *testing.T) {
 	}
 }
 
-func TestGivensQR(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 2, 5, 16, 32} {
-		a := NewDenseRandom(n, n, rng)
-		var c opcount.Counter
-		u, q, err := GivensQR(a, &c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !u.IsUpperTriangular(1e-10) {
-			t.Errorf("n=%d: U not upper triangular", n)
-		}
-		// QA = U.
-		qa := q.MulRef(a)
-		if diff := qa.MaxAbsDiff(u); diff > 1e-9*float64(n+1) {
-			t.Errorf("n=%d: ‖QA - U‖ = %g", n, diff)
-		}
-		// Q orthogonal: QᵀQ = I.
-		qt := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				qt.Set(i, j, q.At(j, i))
-			}
-		}
-		qtq := qt.MulRef(q)
-		eye := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			eye.Set(i, i, 1)
-		}
-		if diff := qtq.MaxAbsDiff(eye); diff > 1e-9*float64(n+1) {
-			t.Errorf("n=%d: ‖QᵀQ - I‖ = %g", n, diff)
-		}
-		if n > 1 && c.Ccomp() == 0 {
-			t.Errorf("n=%d: no operations counted", n)
-		}
-	}
-}
-
-func TestGivensQRRejectsNonSquare(t *testing.T) {
-	var c opcount.Counter
-	if _, _, err := GivensQR(NewDense(3, 4), &c); err == nil {
-		t.Error("non-square matrix accepted")
-	}
-}
-
 // Property: LU reconstruction holds for random diagonally dominant systems.
 func TestBlockedLUProperty(t *testing.T) {
 	f := func(seed int64, n8, b8 uint8) bool {
@@ -191,8 +146,9 @@ func TestBlockedLUProperty(t *testing.T) {
 }
 
 // TestCountBlockedLUMatchesTileWalk: the O(N) count equals the tile walk
-// it replaced, kept below verbatim, with == on every field: every N ≤ 70
-// at every block, plus sizes whose totals wrap uint64.
+// it replaced, kept below, with == on every field: every N ≤ 70 at every
+// block, step by step against luStep and in sum against CountBlockedLU,
+// plus sizes whose totals wrap uint64.
 func TestCountBlockedLUMatchesTileWalk(t *testing.T) {
 	var specs []LUSpec
 	for n := 1; n <= 70; n++ {
@@ -210,26 +166,60 @@ func TestCountBlockedLUMatchesTileWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := walkBlockedLU(spec)
+		want, steps, err := walkBlockedLU(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("%+v: count %+v, walk %+v", spec, got, want)
 		}
+		if len(steps) != spec.Steps() {
+			t.Fatalf("%+v: walk took %d steps, want %d", spec, len(steps), spec.Steps())
+		}
+		for i, w := range steps {
+			if st := luStep(spec.N, spec.Block, i*spec.Block); st != w {
+				t.Fatalf("%+v step %d: luStep %+v, walk %+v", spec, i, st, w)
+			}
+		}
 	}
 }
 
-// walkBlockedLU is the parent's CountBlockedLU, kept verbatim as the
-// reference for TestCountBlockedLUMatchesTileWalk.
-func walkBlockedLU(spec LUSpec) (opcount.Totals, error) {
+// TestLUSameRatioAllSteps is the §3.2 sentence as a test: "The same ratio is
+// maintained for all the steps" — the per-step Ccomp/Cio stays near-constant
+// until the trailing matrix shrinks to a few tiles.
+func TestLUSameRatioAllSteps(t *testing.T) {
+	spec := LUSpec{N: 1024, Block: 16}
+	// Examine the first 3/4 of the steps (the paper's regime N' ≫ b).
+	upto := spec.Steps() * 3 / 4
+	first := luStep(spec.N, spec.Block, 0).Ratio()
+	for i := 1; i < upto; i++ {
+		r := luStep(spec.N, spec.Block, i*spec.Block).Ratio()
+		if math.Abs(r-first)/first > 0.10 {
+			t.Errorf("step %d ratio %v drifted more than 10%% from step 0's %v", i, r, first)
+		}
+	}
+	// And the ratio is ≈ 2b/3 (trailing update dominates: 2·b flops per
+	// 3 words of tile traffic).
+	want := 2.0 * float64(spec.Block) / 3.0
+	if math.Abs(first-want)/want > 0.15 {
+		t.Errorf("step-0 ratio %v far from 2b/3 = %v", first, want)
+	}
+}
+
+// walkBlockedLU counts BlockedLU tile by tile in O(N²), independently of
+// luStep's closed forms, as the reference for
+// TestCountBlockedLUMatchesTileWalk. It returns the whole-run totals and the
+// totals of each panel step.
+func walkBlockedLU(spec LUSpec) (opcount.Totals, []opcount.Totals, error) {
 	if err := spec.Validate(); err != nil {
-		return opcount.Totals{}, err
+		return opcount.Totals{}, nil, err
 	}
 	n, bs := spec.N, spec.Block
-	var t opcount.Totals
+	var whole opcount.Totals
+	var steps []opcount.Totals
 	for s0 := 0; s0 < n; s0 += bs {
 		r := uint64(min(bs, n-s0))
+		var t opcount.Totals
 
 		// Diagonal tile: flops = Σ_{m=1}^{r-1} m + 2m² .
 		t.Reads += r * r
@@ -264,6 +254,10 @@ func walkBlockedLU(spec LUSpec) (opcount.Totals, error) {
 				t.Writes += ri * cj
 			}
 		}
+		steps = append(steps, t)
+		whole.Ops += t.Ops
+		whole.Reads += t.Reads
+		whole.Writes += t.Writes
 	}
-	return t, nil
+	return whole, steps, nil
 }

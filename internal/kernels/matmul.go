@@ -120,32 +120,6 @@ func CountBlockedMatMul(spec MatMulSpec) (opcount.Totals, error) {
 	}, nil
 }
 
-// NaiveMatMul is the textbook triple loop with no local-memory reuse: every
-// operand element is re-read from outside the PE each time it is touched and
-// every partial sum is written back. It realizes the worst-case Cio = Θ(N³)
-// that motivates the paper's blocked scheme, and is the baseline for the
-// cache-simulation experiment (E12).
-func NaiveMatMul(a, b *Dense, c *opcount.Counter) (*Dense, error) {
-	if a.Cols != b.Rows || a.Rows != a.Cols || b.Rows != b.Cols {
-		return nil, fmt.Errorf("kernels: naive matmul requires square conformable operands")
-	}
-	n := a.Rows
-	out := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var sum float64
-			for k := 0; k < n; k++ {
-				sum += a.At(i, k) * b.At(k, j)
-				c.Read(2) // a(i,k) and b(k,j) fetched from outside
-				c.Ops(2)  // multiply + add
-			}
-			out.Set(i, j, sum)
-			c.Write(1)
-		}
-	}
-	return out, nil
-}
-
 // MatMulRatioSweep measures the achievable Ccomp/Cio of the blocked scheme
 // across a range of block sizes at fixed N, returning (memory, ratio) pairs
 // for the E2 experiment. N should be ≫ the largest block so the measured

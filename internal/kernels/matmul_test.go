@@ -87,29 +87,6 @@ func TestMatMulRatioApproachesSqrtM(t *testing.T) {
 	}
 }
 
-func TestNaiveMatMulCorrectAndIOHeavy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 12
-	a := NewDenseRandom(n, n, rng)
-	b := NewDenseRandom(n, n, rng)
-	var c opcount.Counter
-	got, err := NaiveMatMul(a, b, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := got.MaxAbsDiff(a.MulRef(b)); diff > 1e-12 {
-		t.Errorf("naive matmul wrong by %g", diff)
-	}
-	// Naive scheme: 2N³ reads — ratio stuck at ~1 regardless of N.
-	nn := uint64(n)
-	if c.Reads() != 2*nn*nn*nn {
-		t.Errorf("naive reads = %d, want %d", c.Reads(), 2*nn*nn*nn)
-	}
-	if r := c.Ratio(); r > 1 {
-		t.Errorf("naive ratio = %v, want ≤ 1", r)
-	}
-}
-
 func TestMatMulSpecValidation(t *testing.T) {
 	bad := []MatMulSpec{{N: 0, Block: 1}, {N: 4, Block: 0}, {N: 4, Block: 8}, {N: -1, Block: 1}}
 	for _, s := range bad {

@@ -33,17 +33,6 @@ func BenchmarkSimulateOPT(b *testing.B) {
 	}
 }
 
-func BenchmarkSimulateDirectMapped(b *testing.B) {
-	trace := benchTrace(b)
-	b.SetBytes(int64(len(trace)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateDirectMapped(trace, 128); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTraceGeneration(b *testing.B) {
 	for _, kind := range []string{"naive", "blocked"} {
 		b.Run(kind, func(b *testing.B) {

@@ -1,6 +1,6 @@
 // Package memsim simulates a PE's local memory as a cache over an address
-// trace: fully associative LRU, direct-mapped, and Belady's offline optimal
-// (OPT) replacement. A miss is one word fetched from outside the PE, so the
+// trace: fully associative LRU and Belady's offline optimal (OPT)
+// replacement. A miss is one word fetched from outside the PE, so the
 // miss count of a trace is the Cio a cache of that size would actually incur
 // — the executable counterpart of the paper's §1 observation that a local
 // memory "caches frequently used data ... so that the required I/O bandwidth
@@ -30,14 +30,6 @@ type Result struct {
 	Accesses  uint64
 	Misses    uint64
 	Evictions uint64
-}
-
-// MissRate returns Misses/Accesses, 0 for an empty trace.
-func (r Result) MissRate() float64 {
-	if r.Accesses == 0 {
-		return 0
-	}
-	return float64(r.Misses) / float64(r.Accesses)
 }
 
 func validateCapacity(capacity int) error {
@@ -150,31 +142,6 @@ func (l *lruList) moveToFront(n int) {
 }
 
 func (l *lruList) back() int { return l.tail }
-
-// SimulateDirectMapped replays the trace through a direct-mapped cache of
-// the given word capacity (address mod capacity indexing).
-func SimulateDirectMapped(trace []Ref, capacity int) (Result, error) {
-	if err := validateCapacity(capacity); err != nil {
-		return Result{}, err
-	}
-	var res Result
-	slots := make([]uint64, capacity)
-	valid := make([]bool, capacity)
-	for _, ref := range trace {
-		res.Accesses++
-		slot := int(ref.Addr % uint64(capacity))
-		if valid[slot] && slots[slot] == ref.Addr {
-			continue
-		}
-		res.Misses++
-		if valid[slot] {
-			res.Evictions++
-		}
-		slots[slot] = ref.Addr
-		valid[slot] = true
-	}
-	return res, nil
-}
 
 // SimulateOPT replays the trace through a fully associative cache with
 // Belady's optimal (furthest-future-use) replacement, the offline lower

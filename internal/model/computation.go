@@ -38,10 +38,6 @@ func (c Computation) String() string {
 	return fmt.Sprintf("%s (%s): %s", c.Name, c.Section, c.Law.Describe())
 }
 
-// BalancedIntensity returns the machine intensity C/IO at which a PE with m
-// words of local memory is balanced for this computation.
-func (c Computation) BalancedIntensity(m float64) float64 { return c.Ratio(m) }
-
 // RequiredMemory returns the smallest local memory size m (words) such that
 // the computation's achievable ratio meets or exceeds the machine intensity
 // x = C/IO, i.e. the memory a PE needs to be balanced (not I/O bound) for

@@ -90,22 +90,6 @@ func (s BalanceState) String() string {
 // lower-order terms the paper's Θ-notation hides.
 const BalanceTolerance = 0.01
 
-// Classify compares the computing time of ccomp operations against the I/O
-// time of cio words on this PE and classifies the result. tol is the relative
-// tolerance; pass BalanceTolerance for the default.
-func (pe PE) Classify(ccomp, cio, tol float64) BalanceState {
-	tc := pe.ComputeTime(ccomp)
-	tio := pe.IOTime(cio)
-	ref := math.Max(tc, tio)
-	if ref == 0 || math.Abs(tc-tio) <= tol*ref {
-		return Balanced
-	}
-	if tio > tc {
-		return IOBound
-	}
-	return ComputeBound
-}
-
 // Utilization returns the fraction of total busy time the compute unit is
 // actually computing when compute and I/O do not overlap: Tcomp/(Tcomp+Tio).
 // A balanced PE scores 0.5 under this serial model.
@@ -116,20 +100,6 @@ func (pe PE) Utilization(ccomp, cio float64) float64 {
 		return 0
 	}
 	return tc / (tc + tio)
-}
-
-// OverlappedUtilization returns the compute-unit utilization when compute
-// and I/O fully overlap (double buffering): Tcomp/max(Tcomp, Tio). A
-// balanced PE scores 1 under this model, which is the design point the
-// paper's balance condition targets.
-func (pe PE) OverlappedUtilization(ccomp, cio float64) float64 {
-	tc := pe.ComputeTime(ccomp)
-	tio := pe.IOTime(cio)
-	m := math.Max(tc, tio)
-	if m == 0 {
-		return 0
-	}
-	return tc / m
 }
 
 // ErrNotRebalanceable is returned by rebalance solvers for I/O-bounded

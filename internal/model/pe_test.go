@@ -39,44 +39,14 @@ func TestIntensityAndTimes(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	pe := PE{C: 100, IO: 10, M: 64}
-	// Balanced: 1000 ops in 10s vs 100 words in 10s.
-	if got := pe.Classify(1000, 100, BalanceTolerance); got != Balanced {
-		t.Errorf("balanced case = %v", got)
-	}
-	// I/O bound: I/O takes longer.
-	if got := pe.Classify(1000, 500, BalanceTolerance); got != IOBound {
-		t.Errorf("io-bound case = %v", got)
-	}
-	// Compute bound.
-	if got := pe.Classify(5000, 100, BalanceTolerance); got != ComputeBound {
-		t.Errorf("compute-bound case = %v", got)
-	}
-	// Zero work counts as balanced.
-	if got := pe.Classify(0, 0, BalanceTolerance); got != Balanced {
-		t.Errorf("zero-work case = %v", got)
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	pe := PE{C: 100, IO: 10, M: 64}
-	// Balanced workload: serial utilization 0.5, overlapped 1.0.
+	// Balanced workload: serial utilization 0.5.
 	if got := pe.Utilization(1000, 100); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("serial utilization = %v, want 0.5", got)
 	}
-	if got := pe.OverlappedUtilization(1000, 100); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("overlapped utilization = %v, want 1", got)
-	}
-	// I/O bound at 2:1: overlapped utilization 0.5.
-	if got := pe.OverlappedUtilization(1000, 200); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("overlapped utilization = %v, want 0.5", got)
-	}
 	if got := pe.Utilization(0, 0); got != 0 {
 		t.Errorf("zero-work utilization = %v, want 0", got)
-	}
-	if got := pe.OverlappedUtilization(0, 0); got != 0 {
-		t.Errorf("zero-work overlapped utilization = %v, want 0", got)
 	}
 }
 

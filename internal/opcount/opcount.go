@@ -119,17 +119,3 @@ func (t Totals) Ratio() float64 {
 	}
 	return float64(t.Ops) / float64(io)
 }
-
-// Sub returns the element-wise difference t - earlier. It panics if earlier
-// is not a prefix of t (any field would go negative), which indicates the
-// snapshots were taken from different counters or out of order.
-func (t Totals) Sub(earlier Totals) Totals {
-	if earlier.Ops > t.Ops || earlier.Reads > t.Reads || earlier.Writes > t.Writes {
-		panic("opcount: Sub with non-prefix snapshot")
-	}
-	return Totals{
-		Ops:    t.Ops - earlier.Ops,
-		Reads:  t.Reads - earlier.Reads,
-		Writes: t.Writes - earlier.Writes,
-	}
-}

@@ -44,18 +44,6 @@ type Move struct {
 // Schedule is a sequence of moves.
 type Schedule []Move
 
-// IOCost returns the number of Input and Output moves — the quantity the
-// game minimizes.
-func (s Schedule) IOCost() int {
-	cost := 0
-	for _, m := range s {
-		if m.Kind == Input || m.Kind == Output {
-			cost++
-		}
-	}
-	return cost
-}
-
 // ExecResult reports the statistics of a validated schedule execution.
 type ExecResult struct {
 	Inputs   int // words read (Input moves)

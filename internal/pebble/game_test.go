@@ -71,13 +71,6 @@ func TestExecuteBadBudget(t *testing.T) {
 	}
 }
 
-func TestScheduleIOCost(t *testing.T) {
-	s := Schedule{{Input, 0}, {Compute, 1}, {Output, 1}, {Delete, 0}}
-	if got := s.IOCost(); got != 2 {
-		t.Errorf("IOCost = %d, want 2", got)
-	}
-}
-
 func TestMoveKindString(t *testing.T) {
 	for _, k := range []MoveKind{Input, Output, Compute, Delete, MoveKind(9)} {
 		if k.String() == "" {

@@ -55,10 +55,12 @@ func GreedySchedule(d *DAG, s int) (Schedule, error) {
 		}
 		return useQueue[v][0]
 	}
+	// evictOne drops the red vertex used furthest in the future; ties go
+	// to the lowest vertex, so the schedule never depends on map order.
 	evictOne := func() {
 		victim, worst := -1, -1
 		for v := range red {
-			if nu := nextUse(v); nu > worst {
+			if nu := nextUse(v); nu > worst || nu == worst && v < victim {
 				victim, worst = v, nu
 			}
 		}

@@ -1,6 +1,7 @@
 package pebble
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +88,29 @@ func TestGreedyMoreMemoryNeverHurts(t *testing.T) {
 			t.Errorf("s=%d: IO %d worse than smaller memory %d", s, res.IO(), prev)
 		}
 		prev = res.IO()
+	}
+}
+
+// TestGreedyDeterministic: the 1-D stencil at S = 6 has eviction ties in
+// next use, so a schedule that broke them by map order would differ from
+// run to run (I/O 53 on some, 54 on others).
+func TestGreedyDeterministic(t *testing.T) {
+	d, err := Stencil1DDAG(16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := GreedySchedule(d, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 20; run++ {
+		sched, err := GreedySchedule(d, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sched, first) {
+			t.Fatalf("run %d: schedule differs from run 0", run)
+		}
 	}
 }
 

@@ -276,9 +276,6 @@ func (s *Server) Close(ctx context.Context) error {
 // Metrics exposes the server's instrumentation, for embedders and tests.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// ResetCache drops the sweep memo (tests and long-lived embedders).
-func (s *Server) ResetCache() { s.sweeps.Reset() }
-
 // Handler returns the full API behind the middleware stack:
 // requestid(logging+metrics(recover(limiter(mux)))). RequestID
 // sits outermost so every response — including a limiter 503 or a recovered
