@@ -35,6 +35,7 @@ func RunE12Cache(ctx context.Context) (*report.Result, error) {
 	caches := []int{32, 96, 256, 1024, 4096}
 	var nRows [][]float64
 	var atWorkingSet float64
+	var lru96, opt96 memsim.Result // the blocked replays at cache = 96
 	for _, cap := range caches {
 		rn, err := memsim.SimulateLRU(naive, cap)
 		if err != nil {
@@ -50,7 +51,7 @@ func RunE12Cache(ctx context.Context) (*report.Result, error) {
 		}
 		gain := float64(rn.Misses) / float64(rb.Misses)
 		if cap == 96 {
-			atWorkingSet = gain
+			atWorkingSet, lru96, opt96 = gain, rb, ro
 		}
 		tb.AddRow(cap, rn.Misses, rb.Misses, ro.Misses, f2(gain))
 		nRows = append(nRows, []float64{float64(cap), float64(rn.Misses), float64(rb.Misses), float64(ro.Misses)})
@@ -71,16 +72,12 @@ func RunE12Cache(ctx context.Context) (*report.Result, error) {
 
 	// The blocked schedule's LRU traffic must match the §3.1 counter
 	// model: Cio = 2N³/b + N² reads plus N² writes at block size b.
-	rb, err := memsim.SimulateLRU(blocked, 96)
-	if err != nil {
-		return nil, err
-	}
 	modelCio, err := kernels.CountBlockedMatMul(kernels.MatMulSpec{N: n, Block: b})
 	if err != nil {
 		return nil, err
 	}
 	want := float64(modelCio.Reads + modelCio.Writes)
-	got := float64(rb.Misses)
+	got := float64(lru96.Misses)
 	rel := math.Abs(got-want) / want
 	r.AddClaim(
 		"measured cache traffic of the blocked schedule matches the counter model's Cio",
@@ -90,16 +87,12 @@ func RunE12Cache(ctx context.Context) (*report.Result, error) {
 	)
 
 	// OPT never loses to LRU; both sit above the compulsory floor.
-	floor := float64(memsim.DistinctWords(blocked))
-	ro, err := memsim.SimulateOPT(blocked, 96)
-	if err != nil {
-		return nil, err
-	}
+	floor := float64(blocked.Words())
 	r.AddClaim(
 		"replacement-policy sanity: compulsory ≤ OPT ≤ LRU",
 		"ordering holds",
-		fmt.Sprintf("floor %.0f ≤ OPT %d ≤ LRU %d", floor, ro.Misses, rb.Misses),
-		floor <= float64(ro.Misses) && ro.Misses <= rb.Misses,
+		fmt.Sprintf("floor %.0f ≤ OPT %d ≤ LRU %d", floor, opt96.Misses, lru96.Misses),
+		floor <= float64(opt96.Misses) && opt96.Misses <= lru96.Misses,
 	)
 	return r, nil
 }

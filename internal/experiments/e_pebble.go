@@ -80,6 +80,9 @@ func RunE11Pebble(ctx context.Context) (*report.Result, error) {
 	ftb := textplot.NewTable("N", "block M", "pebbles S", "blocked I/O", "lower bound", "achieved/bound")
 	worstFactor := 0.0
 	boundsHold := true
+	// The cases come grouped by N, so each FFTDAG is built once.
+	var dag *pebble.DAG
+	dagN := 0
 	for _, tc := range []struct{ n, m int }{
 		{256, 4}, {256, 16}, {1024, 16}, {4096, 16}, {4096, 64},
 	} {
@@ -87,9 +90,11 @@ func RunE11Pebble(ctx context.Context) (*report.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		dag, err := pebble.FFTDAG(tc.n)
-		if err != nil {
-			return nil, err
+		if tc.n != dagN {
+			if dag, err = pebble.FFTDAG(tc.n); err != nil {
+				return nil, err
+			}
+			dagN = tc.n
 		}
 		res, err := pebble.Execute(dag, s, sched)
 		if err != nil {

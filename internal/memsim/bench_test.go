@@ -2,7 +2,7 @@ package memsim
 
 import "testing"
 
-func benchTrace(b *testing.B) []Ref {
+func benchTrace(b *testing.B) Trace {
 	b.Helper()
 	trace, err := BlockedMatMulTrace(32, 8)
 	if err != nil {
@@ -13,7 +13,7 @@ func benchTrace(b *testing.B) []Ref {
 
 func BenchmarkSimulateLRU(b *testing.B) {
 	trace := benchTrace(b)
-	b.SetBytes(int64(len(trace)))
+	b.SetBytes(int64(len(trace.refs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SimulateLRU(trace, 96); err != nil {
@@ -24,7 +24,7 @@ func BenchmarkSimulateLRU(b *testing.B) {
 
 func BenchmarkSimulateOPT(b *testing.B) {
 	trace := benchTrace(b)
-	b.SetBytes(int64(len(trace)))
+	b.SetBytes(int64(len(trace.refs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SimulateOPT(trace, 96); err != nil {

@@ -6,14 +6,19 @@
 // memory "caches frequently used data ... so that the required I/O bandwidth
 // with the outside world is reduced".
 //
+// A Trace numbers its words densely, 0..Words()-1, so both simulators keep
+// their state in slices indexed by word id: Renumber maps an arbitrary
+// address stream onto such ids once, and a replay then hashes nothing.
+//
 // The package also generates the address traces of naive and blocked matrix
 // multiplication, letting the E12 experiment demonstrate that the blocked
 // decomposition (not merely the presence of a cache) is what achieves the
-// paper's Θ(√M) compute-to-I/O ratio.
+// paper's Θ(√M) compute-to-I/O ratio. Their addresses already are dense ids.
 package memsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -22,6 +27,37 @@ type Ref struct {
 	Addr  uint64
 	Write bool
 }
+
+// Trace is an address stream over dense word ids: every Addr lies in
+// [0, Words()) and each id in that range is referenced at least once. The
+// simulators index slices by these ids, so a replay allocates nothing that
+// grows with the address space and hashes nothing. Build one with Renumber
+// or a matmul trace generator.
+type Trace struct {
+	refs  []Ref
+	words int
+}
+
+// Renumber maps each distinct address of refs to a dense word id, in order
+// of first reference, and returns the renumbered trace; Write flags are
+// kept. Renaming words one to one changes no simulation Result.
+func Renumber(refs []Ref) Trace {
+	ids := make(map[uint64]uint64)
+	out := make([]Ref, len(refs))
+	for i, r := range refs {
+		id, ok := ids[r.Addr]
+		if !ok {
+			id = uint64(len(ids))
+			ids[r.Addr] = id
+		}
+		out[i] = Ref{Addr: id, Write: r.Write}
+	}
+	return Trace{refs: out, words: len(ids)}
+}
+
+// Words returns the number of distinct words the trace references — the
+// compulsory-miss floor every policy must pay.
+func (t Trace) Words() int { return t.words }
 
 // Result summarizes a cache simulation. Misses is the number of words
 // fetched from outside (the I/O cost in the paper's model, under a
@@ -39,109 +75,56 @@ func validateCapacity(capacity int) error {
 	return nil
 }
 
+// lruNode is one slot of SimulateLRU's recency list.
+type lruNode struct{ word, prev, next int32 }
+
 // SimulateLRU replays the trace through a fully associative cache of the
 // given word capacity with least-recently-used replacement.
-func SimulateLRU(trace []Ref, capacity int) (Result, error) {
+func SimulateLRU(t Trace, capacity int) (Result, error) {
 	if err := validateCapacity(capacity); err != nil {
 		return Result{}, err
 	}
+	if t.words >= math.MaxInt32 {
+		return Result{}, fmt.Errorf("memsim: %d distinct words exceed the LRU list's int32 ids", t.words)
+	}
+	slots := min(capacity, t.words)
 	var res Result
-	l := newLRUList(capacity)
-	pos := make(map[uint64]int, capacity)
-	for _, ref := range trace {
+	// pos[w] is 1 + the slot holding word w, or 0 when w is not resident.
+	pos := make([]int32, t.words)
+	// Resident words form a circular doubly linked list, most recent
+	// first, through slots 0..slots-1 and the sentinel slot head.
+	l := make([]lruNode, slots+1)
+	head := int32(slots)
+	l[head].prev, l[head].next = head, head
+	used := int32(0)
+	for _, ref := range t.refs {
 		res.Accesses++
-		if node, ok := pos[ref.Addr]; ok {
-			l.moveToFront(node)
+		n := pos[ref.Addr] - 1
+		switch {
+		case n >= 0 && l[head].next == n:
 			continue
+		case n >= 0:
+			l[l[n].prev].next, l[l[n].next].prev = l[n].next, l[n].prev
+		default:
+			res.Misses++
+			if used < head {
+				n = used
+				used++
+			} else {
+				n = l[head].prev
+				pos[l[n].word] = 0
+				l[l[n].prev].next, l[head].prev = head, l[n].prev
+				res.Evictions++
+			}
+			l[n].word = int32(ref.Addr)
+			pos[ref.Addr] = n + 1
 		}
-		res.Misses++
-		if len(pos) == capacity {
-			victim := l.back()
-			delete(pos, l.addr[victim])
-			l.remove(victim)
-			res.Evictions++
-		}
-		node := l.pushFront(ref.Addr)
-		pos[ref.Addr] = node
+		first := l[head].next
+		l[n].prev, l[n].next = head, first
+		l[first].prev, l[head].next = n, n
 	}
 	return res, nil
 }
-
-// lruList is an intrusive doubly linked list over preallocated node slots,
-// avoiding per-access allocation.
-type lruList struct {
-	addr       []uint64
-	prev, next []int
-	head, tail int
-	free       []int
-}
-
-func newLRUList(capacity int) *lruList {
-	l := &lruList{
-		addr: make([]uint64, capacity),
-		prev: make([]int, capacity),
-		next: make([]int, capacity),
-		head: -1, tail: -1,
-		free: make([]int, 0, capacity),
-	}
-	for i := capacity - 1; i >= 0; i-- {
-		l.free = append(l.free, i)
-	}
-	return l
-}
-
-func (l *lruList) pushFront(addr uint64) int {
-	n := l.free[len(l.free)-1]
-	l.free = l.free[:len(l.free)-1]
-	l.addr[n] = addr
-	l.prev[n] = -1
-	l.next[n] = l.head
-	if l.head >= 0 {
-		l.prev[l.head] = n
-	}
-	l.head = n
-	if l.tail < 0 {
-		l.tail = n
-	}
-	return n
-}
-
-func (l *lruList) remove(n int) {
-	if l.prev[n] >= 0 {
-		l.next[l.prev[n]] = l.next[n]
-	} else {
-		l.head = l.next[n]
-	}
-	if l.next[n] >= 0 {
-		l.prev[l.next[n]] = l.prev[n]
-	} else {
-		l.tail = l.prev[n]
-	}
-	l.free = append(l.free, n)
-}
-
-func (l *lruList) moveToFront(n int) {
-	if l.head == n {
-		return
-	}
-	// Unlink (without freeing) and relink at head.
-	if l.prev[n] >= 0 {
-		l.next[l.prev[n]] = l.next[n]
-	}
-	if l.next[n] >= 0 {
-		l.prev[l.next[n]] = l.prev[n]
-	} else {
-		l.tail = l.prev[n]
-	}
-	l.prev[n] = -1
-	l.next[n] = l.head
-	if l.head >= 0 {
-		l.prev[l.head] = n
-	}
-	l.head = n
-}
-
-func (l *lruList) back() int { return l.tail }
 
 // SimulateOPT replays the trace through a fully associative cache with
 // Belady's optimal (furthest-future-use) replacement, the offline lower
@@ -151,50 +134,59 @@ func (l *lruList) back() int { return l.tail }
 // live ones and rebuilt, in O(C) amortized over the Ω(C) pushes since the
 // last rebuild. Only words never referenced again share a next use, so
 // the heap's order among ties cannot change the Result.
-func SimulateOPT(trace []Ref, capacity int) (Result, error) {
+func SimulateOPT(t Trace, capacity int) (Result, error) {
 	if err := validateCapacity(capacity); err != nil {
 		return Result{}, err
 	}
 	const never = int(^uint(0) >> 1) // no future use
 
-	// nextUse[t] = next position after t at which trace[t].Addr recurs.
-	nextUse := make([]int, len(trace))
-	lastSeen := make(map[uint64]int, capacity*2)
-	for t := len(trace) - 1; t >= 0; t-- {
-		if nxt, ok := lastSeen[trace[t].Addr]; ok {
-			nextUse[t] = nxt
-		} else {
-			nextUse[t] = never
-		}
-		lastSeen[trace[t].Addr] = t
+	// nextUse[i] = next position after i at which word t.refs[i].Addr
+	// recurs. The backward pass keeps in cur[w] the earliest reference
+	// to w that it has seen.
+	nextUse := make([]int, len(t.refs))
+	cur := make([]int, t.words)
+	for w := range cur {
+		cur[w] = never
+	}
+	for i := len(t.refs) - 1; i >= 0; i-- {
+		w := t.refs[i].Addr
+		nextUse[i] = cur[w]
+		cur[w] = i
 	}
 
+	// From here cur[w] is the next use of w while w is resident, and
+	// notResident otherwise.
+	const notResident = -1
+	for w := range cur {
+		cur[w] = notResident
+	}
 	var res Result
-	resident := make(map[uint64]int, capacity) // addr → its current next use
+	resident := 0
 	h := make(optHeap, 0, capacity)
-	for t, ref := range trace {
+	for i, ref := range t.refs {
 		res.Accesses++
-		if _, ok := resident[ref.Addr]; !ok {
+		if cur[ref.Addr] == notResident {
 			res.Misses++
-			if len(resident) == capacity {
+			if resident == capacity {
 				// Evict the resident word whose next use is
 				// furthest; skip stale heap entries lazily.
 				for {
 					e := h.pop()
-					if cur, ok := resident[e.addr]; ok && cur == e.nextUse {
-						delete(resident, e.addr)
+					if cur[e.addr] == e.nextUse {
+						cur[e.addr] = notResident
 						res.Evictions++
 						break
 					}
 				}
+			} else {
+				resident++
 			}
 		}
-		resident[ref.Addr] = nextUse[t]
-		h.push(optEntry{nextUse: nextUse[t], addr: ref.Addr})
+		cur[ref.Addr] = nextUse[i]
+		h.push(optEntry{nextUse: nextUse[i], addr: ref.Addr})
 		if len(h) > 2*capacity+64 {
 			h = slices.DeleteFunc(h, func(e optEntry) bool {
-				cur, ok := resident[e.addr]
-				return !ok || cur != e.nextUse
+				return cur[e.addr] != e.nextUse
 			})
 			h.heapify()
 		}
@@ -258,14 +250,4 @@ func (h optHeap) down(i int) {
 		h[i], h[child] = h[child], h[i]
 		i = child
 	}
-}
-
-// DistinctWords returns the number of distinct addresses in the trace — the
-// compulsory-miss floor every policy must pay.
-func DistinctWords(trace []Ref) uint64 {
-	seen := make(map[uint64]struct{})
-	for _, r := range trace {
-		seen[r.Addr] = struct{}{}
-	}
-	return uint64(len(seen))
 }

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,7 +17,7 @@ func refs(addrs ...uint64) []Ref {
 
 func TestLRUBasic(t *testing.T) {
 	// Capacity 2; classic LRU behavior.
-	trace := refs(1, 2, 1, 3, 2) // 1m 2m 1h 3m(evict 2) 2m(evict 1)
+	trace := Renumber(refs(1, 2, 1, 3, 2)) // 1m 2m 1h 3m(evict 2) 2m(evict 1)
 	res, err := SimulateLRU(trace, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func TestLRUBasic(t *testing.T) {
 }
 
 func TestLRUAllHitsWhenFits(t *testing.T) {
-	trace := refs(1, 2, 3, 1, 2, 3, 1, 2, 3)
+	trace := Renumber(refs(1, 2, 3, 1, 2, 3, 1, 2, 3))
 	res, err := SimulateLRU(trace, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestLRUThrashesOnCyclicScan(t *testing.T) {
 			trace = append(trace, Ref{Addr: a})
 		}
 	}
-	res, err := SimulateLRU(trace, 3)
+	res, err := SimulateLRU(Renumber(trace), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestOPTBeatsLRUOnCyclicScan(t *testing.T) {
 			trace = append(trace, Ref{Addr: a})
 		}
 	}
-	lru, err := SimulateLRU(trace, 3)
+	lru, err := SimulateLRU(Renumber(trace), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := SimulateOPT(trace, 3)
+	opt, err := SimulateOPT(Renumber(trace), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestOPTExactOnTextbookExample(t *testing.T) {
 	// Trace 0 1 2 0 1 3 0 1 2 3 at capacity 3: OPT evicts 2 for 3 (2 is
 	// the furthest next use), then re-fetches 2 once — 4 compulsory
 	// misses + 1 = 5 total.
-	trace := refs(0, 1, 2, 0, 1, 3, 0, 1, 2, 3)
+	trace := Renumber(refs(0, 1, 2, 0, 1, 3, 0, 1, 2, 3))
 	res, err := SimulateOPT(trace, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -99,18 +100,18 @@ func TestOPTExactOnTextbookExample(t *testing.T) {
 }
 
 func TestCapacityValidation(t *testing.T) {
-	for _, sim := range []func([]Ref, int) (Result, error){SimulateLRU, SimulateOPT} {
-		if _, err := sim(refs(1), 0); err == nil {
+	for _, sim := range []func(Trace, int) (Result, error){SimulateLRU, SimulateOPT} {
+		if _, err := sim(Renumber(refs(1)), 0); err == nil {
 			t.Error("capacity 0 accepted")
 		}
-		if _, err := sim(refs(1), -3); err == nil {
+		if _, err := sim(Renumber(refs(1)), -3); err == nil {
 			t.Error("negative capacity accepted")
 		}
 	}
 }
 
 func TestEmptyTrace(t *testing.T) {
-	res, err := SimulateLRU(nil, 4)
+	res, err := SimulateLRU(Renumber(nil), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,17 @@ func TestEmptyTrace(t *testing.T) {
 }
 
 func TestDistinctWords(t *testing.T) {
-	if got := DistinctWords(refs(1, 2, 1, 3, 3, 3)); got != 3 {
-		t.Errorf("DistinctWords = %d, want 3", got)
+	if got := Renumber(refs(1, 2, 1, 3, 3, 3)).Words(); got != 3 {
+		t.Errorf("Words = %d, want 3", got)
 	}
-	if got := DistinctWords(nil); got != 0 {
-		t.Errorf("DistinctWords(nil) = %d, want 0", got)
+	if got := Renumber(nil).Words(); got != 0 {
+		t.Errorf("Words of an empty trace = %d, want 0", got)
+	}
+	// Ids follow first reference and Write flags survive.
+	got := Renumber([]Ref{{Addr: 9}, {Addr: 4, Write: true}, {Addr: 9, Write: true}}).refs
+	want := []Ref{{Addr: 0}, {Addr: 1, Write: true}, {Addr: 0, Write: true}}
+	if !slices.Equal(got, want) {
+		t.Errorf("Renumber = %v, want %v", got, want)
 	}
 }
 
@@ -136,22 +143,41 @@ func TestNaiveTraceShape(t *testing.T) {
 	}
 	// 2n³ reads + n² writes.
 	want := 2*n*n*n + n*n
-	if len(trace) != want {
-		t.Errorf("trace length = %d, want %d", len(trace), want)
+	if len(trace.refs) != want {
+		t.Errorf("trace length = %d, want %d", len(trace.refs), want)
 	}
-	if got := DistinctWords(trace); got != uint64(3*n*n) {
-		t.Errorf("distinct words = %d, want %d", got, 3*n*n)
-	}
+	checkDense(t, trace, 3*n*n)
 }
 
 func TestBlockedTraceDistinctWords(t *testing.T) {
-	n, b := 8, 4
-	trace, err := BlockedMatMulTrace(n, b)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ n, b int }{{8, 4}, {7, 3}, {5, 5}, {6, 1}} {
+		trace, err := BlockedMatMulTrace(tc.n, tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trace.refs) != cap(trace.refs) {
+			t.Errorf("n=%d b=%d: %d references in a slice preallocated for %d", tc.n, tc.b, len(trace.refs), cap(trace.refs))
+		}
+		checkDense(t, trace, 3*tc.n*tc.n)
 	}
-	if got := DistinctWords(trace); got != uint64(3*n*n) {
-		t.Errorf("distinct words = %d, want %d", got, 3*n*n)
+}
+
+// checkDense fails unless the trace claims words distinct words and its
+// addresses are exactly the ids 0..words-1, each referenced.
+func checkDense(t *testing.T, trace Trace, words int) {
+	t.Helper()
+	if trace.Words() != words {
+		t.Errorf("Words = %d, want %d", trace.Words(), words)
+	}
+	seen := make([]bool, words)
+	for _, r := range trace.refs {
+		if r.Addr >= uint64(words) {
+			t.Fatalf("address %d outside [0, %d)", r.Addr, words)
+		}
+		seen[r.Addr] = true
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Errorf("word %d of %d never referenced", i, words)
 	}
 }
 
@@ -206,12 +232,13 @@ func TestOPTDominatesLRUProperty(t *testing.T) {
 		for i := range trace {
 			trace[i] = Ref{Addr: uint64(rng.Intn(48))}
 		}
-		lru, err1 := SimulateLRU(trace, capacity)
-		opt, err2 := SimulateOPT(trace, capacity)
+		dense := Renumber(trace)
+		lru, err1 := SimulateLRU(dense, capacity)
+		opt, err2 := SimulateOPT(dense, capacity)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		floor := DistinctWords(trace)
+		floor := uint64(dense.Words())
 		return opt.Misses <= lru.Misses && opt.Misses >= floor && lru.Misses >= floor
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -230,8 +257,8 @@ func TestLRUStackProperty(t *testing.T) {
 		for i := range trace {
 			trace[i] = Ref{Addr: uint64(rng.Intn(40))}
 		}
-		small, err1 := SimulateLRU(trace, c1)
-		big, err2 := SimulateLRU(trace, c2)
+		small, err1 := SimulateLRU(Renumber(trace), c1)
+		big, err2 := SimulateLRU(Renumber(trace), c2)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -248,13 +275,13 @@ func TestLRUStackProperty(t *testing.T) {
 // capacities and at 1, 65 and 6912 words, and seeded random traces at
 // every capacity up to one past their distinct words.
 func TestOPTBoundedHeapMatchesUnbounded(t *testing.T) {
-	check := func(name string, trace []Ref, capacity int) {
+	check := func(name string, trace Trace, capacity int) {
 		t.Helper()
 		got, err := SimulateOPT(trace, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := unboundedSimulateOPT(trace, capacity)
+		want, err := unboundedSimulateOPT(trace.refs, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,8 +310,9 @@ func TestOPTBoundedHeapMatchesUnbounded(t *testing.T) {
 			u := rng.Float64()
 			trace[i] = Ref{Addr: uint64(u * u * float64(words)), Write: rng.Intn(4) == 0}
 		}
-		for capacity := 1; capacity <= int(DistinctWords(trace))+1; capacity++ {
-			check("random", trace, capacity)
+		dense := Renumber(trace)
+		for capacity := 1; capacity <= dense.Words()+1; capacity++ {
+			check("random", dense, capacity)
 		}
 	}
 }

@@ -60,7 +60,7 @@ var boundaryCapacities = []int{48, 192, 768, 3072, 12288}
 // boundaryMisses replays the recursive trace once per capacity.
 func boundaryMisses(t *testing.T) map[int]uint64 {
 	t.Helper()
-	trace := recursiveMatMulTrace(oracleN)
+	trace := Trace{refs: recursiveMatMulTrace(oracleN), words: 3 * oracleN * oracleN}
 	out := make(map[int]uint64, len(boundaryCapacities))
 	for _, w := range boundaryCapacities {
 		res, err := SimulateLRU(trace, w)
@@ -77,7 +77,7 @@ func TestRecursiveMatMulTraceShape(t *testing.T) {
 	if len(trace) != 3*4*4*4 {
 		t.Fatalf("trace has %d refs, want %d", len(trace), 3*4*4*4)
 	}
-	if got := DistinctWords(trace); got != 3*4*4 {
+	if got := Renumber(trace).Words(); got != 3*4*4 {
 		t.Errorf("trace touches %d words, want %d", got, 3*4*4)
 	}
 	// Every multiply-add A(i,k)·B(k,j) into C(i,j) appears exactly once.

@@ -3,7 +3,8 @@ package memsim
 import "fmt"
 
 // Matrix operand bases: A, B, C live at disjoint address ranges so traces
-// from different operands never alias.
+// from different operands never alias. Together they fill [0, 3n²) and both
+// traces touch every element, so the addresses are already dense word ids.
 func matmulBases(n int) (baseA, baseB, baseC uint64) {
 	sz := uint64(n) * uint64(n)
 	return 0, sz, 2 * sz
@@ -13,9 +14,9 @@ func matmulBases(n int) (baseA, baseB, baseC uint64) {
 // i-j-k triple loop for an n×n product: for each (i, j), read A(i,k) and
 // B(k,j) for all k, then write C(i,j). With a cache smaller than a full
 // matrix row set this pattern thrashes on B's column accesses.
-func NaiveMatMulTrace(n int) ([]Ref, error) {
+func NaiveMatMulTrace(n int) (Trace, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("memsim: n=%d must be positive", n)
+		return Trace{}, fmt.Errorf("memsim: n=%d must be positive", n)
 	}
 	baseA, baseB, baseC := matmulBases(n)
 	un := uint64(n)
@@ -30,20 +31,24 @@ func NaiveMatMulTrace(n int) ([]Ref, error) {
 			trace = append(trace, Ref{Addr: baseC + i*un + j, Write: true})
 		}
 	}
-	return trace, nil
+	return Trace{refs: trace, words: 3 * n * n}, nil
 }
 
 // BlockedMatMulTrace generates the address stream of the §3.1 blocked
 // product with b×b output blocks: for each output block, stream A's column
 // segments and B's row segments past the resident block. A cache of ≈ b²
 // words captures the reuse this schedule exposes.
-func BlockedMatMulTrace(n, b int) ([]Ref, error) {
+func BlockedMatMulTrace(n, b int) (Trace, error) {
 	if n <= 0 || b <= 0 || b > n {
-		return nil, fmt.Errorf("memsim: invalid blocked trace shape n=%d b=%d", n, b)
+		return Trace{}, fmt.Errorf("memsim: invalid blocked trace shape n=%d b=%d", n, b)
 	}
 	baseA, baseB, baseC := matmulBases(n)
 	un := uint64(n)
-	var trace []Ref
+	// Each of the ⌈n/b⌉² output blocks streams n steps of its rows of A,
+	// its columns of B and its rows×cols accumulators: summed over the
+	// blocks, 2n²⌈n/b⌉ + n³ references.
+	blocks := (n + b - 1) / b
+	trace := make([]Ref, 0, 2*n*n*blocks+n*n*n)
 	for i0 := 0; i0 < n; i0 += b {
 		rows := min(b, n-i0)
 		for j0 := 0; j0 < n; j0 += b {
@@ -69,5 +74,5 @@ func BlockedMatMulTrace(n, b int) ([]Ref, error) {
 			}
 		}
 	}
-	return trace, nil
+	return Trace{refs: trace, words: 3 * n * n}, nil
 }

@@ -90,18 +90,6 @@ func (s BalanceState) String() string {
 // lower-order terms the paper's Θ-notation hides.
 const BalanceTolerance = 0.01
 
-// Utilization returns the fraction of total busy time the compute unit is
-// actually computing when compute and I/O do not overlap: Tcomp/(Tcomp+Tio).
-// A balanced PE scores 0.5 under this serial model.
-func (pe PE) Utilization(ccomp, cio float64) float64 {
-	tc := pe.ComputeTime(ccomp)
-	tio := pe.IOTime(cio)
-	if tc+tio == 0 {
-		return 0
-	}
-	return tc / (tc + tio)
-}
-
 // ErrNotRebalanceable is returned by rebalance solvers for I/O-bounded
 // computations: per paper §3.6, no enlargement of local memory can restore
 // balance once C/IO has grown, because the ratio Ccomp/Cio is bounded by a

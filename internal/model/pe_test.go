@@ -39,17 +39,6 @@ func TestIntensityAndTimes(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	pe := PE{C: 100, IO: 10, M: 64}
-	// Balanced workload: serial utilization 0.5.
-	if got := pe.Utilization(1000, 100); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("serial utilization = %v, want 0.5", got)
-	}
-	if got := pe.Utilization(0, 0); got != 0 {
-		t.Errorf("zero-work utilization = %v, want 0", got)
-	}
-}
-
 func TestBalanceStateString(t *testing.T) {
 	for _, s := range []BalanceState{Balanced, IOBound, ComputeBound, BalanceState(99)} {
 		if s.String() == "" {

@@ -55,3 +55,13 @@ func BenchmarkOptimalSearchFFT4(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFFTDAG builds E11's largest graph: 53,248 vertices and 98,304
+// edges in CSR form, with no per-vertex slice or label.
+func BenchmarkFFTDAG(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := FFTDAG(4096); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

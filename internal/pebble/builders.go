@@ -14,21 +14,25 @@ func FFTDAG(n int) (*DAG, error) {
 		return nil, fmt.Errorf("pebble: FFT size %d must be a power of two ≥ 2", n)
 	}
 	levels := bits.TrailingZeros(uint(n))
-	d := NewDAG((levels + 1) * n)
+	edges := make([][2]int, 0, 2*levels*n)
 	for l := 1; l <= levels; l++ {
 		bit := 1 << (l - 1)
 		for i := 0; i < n; i++ {
 			v := l*n + i
-			d.AddEdge((l-1)*n+i, v)
-			d.AddEdge((l-1)*n+(i^bit), v)
-			d.SetLabel(v, fmt.Sprintf("L%d[%d]", l, i))
+			edges = append(edges, [2]int{(l-1)*n + i, v}, [2]int{(l-1)*n + (i ^ bit), v})
 		}
 	}
-	for i := 0; i < n; i++ {
-		d.SetLabel(i, fmt.Sprintf("in[%d]", i))
-		d.MarkOutput(levels*n + i)
+	outputs := make([]int, n)
+	for i := range outputs {
+		outputs[i] = levels*n + i
 	}
-	return d, nil
+	name := func(v int) string {
+		if v < n {
+			return fmt.Sprintf("in[%d]", v)
+		}
+		return fmt.Sprintf("L%d[%d]", v/n, v%n)
+	}
+	return newDAG((levels+1)*n, edges, outputs, name), nil
 }
 
 // FFTVertex returns the vertex id of level l, index i in an n-point FFTDAG.
@@ -45,7 +49,6 @@ func MatMulDAG(n int) (*DAG, error) {
 	nn := n * n
 	numMul := n * nn
 	numAdd := nn * (n - 1)
-	d := NewDAG(2*nn + numMul + numAdd)
 	aBase, bBase := 0, nn
 	mulBase := 2 * nn
 	addBase := mulBase + numMul
@@ -54,30 +57,41 @@ func MatMulDAG(n int) (*DAG, error) {
 	mulAt := func(i, j, k int) int { return mulBase + (i*n+j)*n + k }
 	addAt := func(i, j, k int) int { return addBase + (i*n+j)*(n-1) + (k - 1) }
 
+	edges := make([][2]int, 0, 2*numMul+2*numAdd)
+	outputs := make([]int, 0, nn)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
 				m := mulAt(i, j, k)
-				d.AddEdge(aAt(i, k), m)
-				d.AddEdge(bAt(k, j), m)
-				d.SetLabel(m, fmt.Sprintf("a%d%d*b%d%d", i, k, k, j))
+				edges = append(edges, [2]int{aAt(i, k), m}, [2]int{bAt(k, j), m})
 			}
 			if n == 1 {
-				d.MarkOutput(mulAt(i, j, 0))
+				outputs = append(outputs, mulAt(i, j, 0))
 				continue
 			}
 			// Accumulation chain: add_1 = mul_0 + mul_1,
 			// add_k = add_{k-1} + mul_k.
-			d.AddEdge(mulAt(i, j, 0), addAt(i, j, 1))
-			d.AddEdge(mulAt(i, j, 1), addAt(i, j, 1))
+			edges = append(edges,
+				[2]int{mulAt(i, j, 0), addAt(i, j, 1)},
+				[2]int{mulAt(i, j, 1), addAt(i, j, 1)})
 			for k := 2; k < n; k++ {
-				d.AddEdge(addAt(i, j, k-1), addAt(i, j, k))
-				d.AddEdge(mulAt(i, j, k), addAt(i, j, k))
+				edges = append(edges,
+					[2]int{addAt(i, j, k-1), addAt(i, j, k)},
+					[2]int{mulAt(i, j, k), addAt(i, j, k)})
 			}
-			d.MarkOutput(addAt(i, j, n-1))
+			outputs = append(outputs, addAt(i, j, n-1))
 		}
 	}
-	return d, nil
+	// Products are named after their operands; inputs and additions by
+	// number.
+	name := func(v int) string {
+		if v < mulBase || v >= addBase {
+			return fmt.Sprintf("v%d", v)
+		}
+		i, j, k := (v-mulBase)/nn, (v-mulBase)/n%n, (v-mulBase)%n
+		return fmt.Sprintf("a%d%d*b%d%d", i, k, k, j)
+	}
+	return newDAG(2*nn+numMul+numAdd, edges, outputs, name), nil
 }
 
 // Stencil1DDAG builds t iterations of a 3-point stencil over n points with
@@ -100,19 +114,20 @@ func Stencil1DDAG(n, t int) (*DAG, error) {
 		}
 		return l*n + i
 	}
-	d := NewDAG((t + 1) * n) // boundary slots above level 0 stay isolated inputs? no: unused ids avoided below
+	edges := make([][2]int, 0, 3*t*(n-2))
 	for l := 1; l <= t; l++ {
 		for i := 1; i < n-1; i++ {
 			v := l*n + i
-			d.AddEdge(id(l-1, i-1), v)
-			d.AddEdge(id(l-1, i), v)
-			d.AddEdge(id(l-1, i+1), v)
+			edges = append(edges, [2]int{id(l-1, i-1), v}, [2]int{id(l-1, i), v}, [2]int{id(l-1, i+1), v})
 		}
 	}
+	outputs := make([]int, 0, n-2)
 	for i := 1; i < n-1; i++ {
-		d.MarkOutput(t*n + i)
+		outputs = append(outputs, t*n+i)
 	}
-	return d, nil
+	// The boundary slots above level 0 get no edges: they are isolated
+	// inputs that nothing reads.
+	return newDAG((t+1)*n, edges, outputs, nil), nil
 }
 
 // Stencil2DDAG builds t iterations of a 5-point stencil over an n×n grid
@@ -133,25 +148,27 @@ func Stencil2DDAG(n, t int) (*DAG, error) {
 		}
 		return l*n*n + i*n + j
 	}
-	d := NewDAG((t + 1) * n * n)
+	edges := make([][2]int, 0, 5*t*(n-2)*(n-2))
 	for l := 1; l <= t; l++ {
 		for i := 1; i < n-1; i++ {
 			for j := 1; j < n-1; j++ {
 				v := l*n*n + i*n + j
-				d.AddEdge(id(l-1, i, j), v)
-				d.AddEdge(id(l-1, i-1, j), v)
-				d.AddEdge(id(l-1, i+1, j), v)
-				d.AddEdge(id(l-1, i, j-1), v)
-				d.AddEdge(id(l-1, i, j+1), v)
+				edges = append(edges,
+					[2]int{id(l-1, i, j), v},
+					[2]int{id(l-1, i-1, j), v},
+					[2]int{id(l-1, i+1, j), v},
+					[2]int{id(l-1, i, j-1), v},
+					[2]int{id(l-1, i, j+1), v})
 			}
 		}
 	}
+	outputs := make([]int, 0, (n-2)*(n-2))
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
-			d.MarkOutput(t*n*n + i*n + j)
+			outputs = append(outputs, t*n*n+i*n+j)
 		}
 	}
-	return d, nil
+	return newDAG((t+1)*n*n, edges, outputs, nil), nil
 }
 
 // DiamondDAG builds a width-2 diamond of the given depth: one source fans
@@ -164,18 +181,14 @@ func DiamondDAG(depth int) (*DAG, error) {
 	}
 	// Vertices: 0 source; per level l ∈ [0,depth): left=1+3l, right=2+3l,
 	// join=3+3l.
-	d := NewDAG(1 + 3*depth)
+	edges := make([][2]int, 0, 4*depth)
 	prev := 0
 	for l := 0; l < depth; l++ {
 		left, right, join := 1+3*l, 2+3*l, 3+3*l
-		d.AddEdge(prev, left)
-		d.AddEdge(prev, right)
-		d.AddEdge(left, join)
-		d.AddEdge(right, join)
+		edges = append(edges, [2]int{prev, left}, [2]int{prev, right}, [2]int{left, join}, [2]int{right, join})
 		prev = join
 	}
-	d.MarkOutput(prev)
-	return d, nil
+	return newDAG(1+3*depth, edges, []int{prev}, nil), nil
 }
 
 // ChainDAG builds a simple path of n vertices; the last is the output. Any
@@ -184,12 +197,11 @@ func ChainDAG(n int) (*DAG, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pebble: chain length %d must be ≥ 1", n)
 	}
-	d := NewDAG(n)
+	edges := make([][2]int, 0, n-1)
 	for v := 1; v < n; v++ {
-		d.AddEdge(v-1, v)
+		edges = append(edges, [2]int{v - 1, v})
 	}
-	d.MarkOutput(n - 1)
-	return d, nil
+	return newDAG(n, edges, []int{n - 1}, nil), nil
 }
 
 // BinaryTreeDAG builds a complete binary reduction tree with the given
@@ -198,13 +210,10 @@ func BinaryTreeDAG(leaves int) (*DAG, error) {
 	if leaves < 2 || bits.OnesCount(uint(leaves)) != 1 {
 		return nil, fmt.Errorf("pebble: leaves %d must be a power of two ≥ 2", leaves)
 	}
-	total := 2*leaves - 1
-	d := NewDAG(total)
 	// Heap layout: node v has children 2v+1, 2v+2; leaves occupy the tail.
+	edges := make([][2]int, 0, 2*(leaves-1))
 	for v := 0; v < leaves-1; v++ {
-		d.AddEdge(2*v+1, v)
-		d.AddEdge(2*v+2, v)
+		edges = append(edges, [2]int{2*v + 1, v}, [2]int{2*v + 2, v})
 	}
-	d.MarkOutput(0)
-	return d, nil
+	return newDAG(2*leaves-1, edges, []int{0}, nil), nil
 }

@@ -11,6 +11,12 @@
 // that validates legality and counts I/O, a Belady-style greedy scheduler, a
 // blocked FFT scheduler mirroring Fig. 2, an exhaustive optimum search for
 // tiny DAGs, and the closed-form lower bounds.
+//
+// State is dense throughout: a DAG keeps its adjacency in compressed sparse
+// row arrays built once from the builder's edge list and names its vertices
+// only when Label is called; the greedy scheduler keeps its red set in
+// slices; and the exhaustive search keeps its distances in an
+// open-addressed table keyed by the packed (red, blue) state.
 package pebble
 
 import "fmt"
@@ -18,76 +24,97 @@ import "fmt"
 // DAG is a directed acyclic computation graph. Vertices are numbered 0..n-1
 // and every edge points from an operand to the operation consuming it.
 // Inputs (no predecessors) start the game with blue pebbles.
+//
+// Adjacency is stored once, in compressed sparse row form: the operands of
+// v are preds[predOff[v]:predOff[v+1]] and its consumers
+// succs[succOff[v]:succOff[v+1]], each in the order the edges were given.
+// Vertex names are formatted on demand by Label, so a graph holds no
+// string per vertex.
 type DAG struct {
-	preds   [][]int
-	succs   [][]int
-	outputs []int
-	labels  []string
+	predOff, succOff []int
+	preds, succs     []int
+	outputs          []int
+	name             func(v int) string // nil names v "v<v>"
 }
 
-// NewDAG creates a graph with n isolated vertices.
-func NewDAG(n int) *DAG {
+// newDAG builds the graph of n vertices with the given edges, each {from,
+// to} recording that to consumes the value of from, and declared outputs,
+// which must end the game with a blue pebble. name, if not nil, labels the
+// vertices.
+func newDAG(n int, edges [][2]int, outputs []int, name func(v int) string) *DAG {
 	if n <= 0 {
 		panic(fmt.Sprintf("pebble: DAG size %d must be positive", n))
 	}
-	return &DAG{
-		preds:  make([][]int, n),
-		succs:  make([][]int, n),
-		labels: make([]string, n),
+	d := &DAG{
+		predOff: make([]int, n+1),
+		succOff: make([]int, n+1),
+		preds:   make([]int, len(edges)),
+		succs:   make([]int, len(edges)),
+		outputs: outputs,
+		name:    name,
 	}
+	for _, e := range edges {
+		d.check(e[0])
+		d.check(e[1])
+		if e[0] == e[1] {
+			panic(fmt.Sprintf("pebble: self edge at %d", e[0]))
+		}
+		d.succOff[e[0]+1]++
+		d.predOff[e[1]+1]++
+	}
+	for v := range n {
+		d.predOff[v+1] += d.predOff[v]
+		d.succOff[v+1] += d.succOff[v]
+	}
+	// Fill each row in edge order, using the row starts as cursors and
+	// shifting them back one row afterwards.
+	for _, e := range edges {
+		d.succs[d.succOff[e[0]]] = e[1]
+		d.succOff[e[0]]++
+		d.preds[d.predOff[e[1]]] = e[0]
+		d.predOff[e[1]]++
+	}
+	copy(d.predOff[1:], d.predOff[:n])
+	copy(d.succOff[1:], d.succOff[:n])
+	d.predOff[0], d.succOff[0] = 0, 0
+	for _, v := range outputs {
+		d.check(v)
+	}
+	return d
 }
 
 // Len returns the number of vertices.
-func (d *DAG) Len() int { return len(d.preds) }
-
-// AddEdge records that vertex to consumes the value of vertex from.
-func (d *DAG) AddEdge(from, to int) {
-	d.check(from)
-	d.check(to)
-	if from == to {
-		panic(fmt.Sprintf("pebble: self edge at %d", from))
-	}
-	d.preds[to] = append(d.preds[to], from)
-	d.succs[from] = append(d.succs[from], to)
-}
-
-// MarkOutput declares v a result that must end the game with a blue pebble.
-func (d *DAG) MarkOutput(v int) {
-	d.check(v)
-	d.outputs = append(d.outputs, v)
-}
-
-// SetLabel attaches a human-readable name to v for diagnostics.
-func (d *DAG) SetLabel(v int, label string) {
-	d.check(v)
-	d.labels[v] = label
-}
+func (d *DAG) Len() int { return len(d.predOff) - 1 }
 
 // Label returns the vertex name, or its number if unnamed.
 func (d *DAG) Label(v int) string {
-	if d.labels[v] != "" {
-		return d.labels[v]
+	if d.name != nil {
+		return d.name(v)
 	}
 	return fmt.Sprintf("v%d", v)
 }
 
 // Preds returns the operand vertices of v (shared slice; do not modify).
-func (d *DAG) Preds(v int) []int { return d.preds[v] }
+func (d *DAG) Preds(v int) []int {
+	return d.preds[d.predOff[v]:d.predOff[v+1]:d.predOff[v+1]]
+}
 
 // Succs returns the consumers of v (shared slice; do not modify).
-func (d *DAG) Succs(v int) []int { return d.succs[v] }
+func (d *DAG) Succs(v int) []int {
+	return d.succs[d.succOff[v]:d.succOff[v+1]:d.succOff[v+1]]
+}
 
 // Outputs returns the declared result vertices.
 func (d *DAG) Outputs() []int { return d.outputs }
 
 // IsInput reports whether v has no predecessors.
-func (d *DAG) IsInput(v int) bool { return len(d.preds[v]) == 0 }
+func (d *DAG) IsInput(v int) bool { return d.predOff[v] == d.predOff[v+1] }
 
 // Inputs returns all vertices with no predecessors.
 func (d *DAG) Inputs() []int {
 	var ins []int
-	for v := range d.preds {
-		if len(d.preds[v]) == 0 {
+	for v := range d.Len() {
+		if d.IsInput(v) {
 			ins = append(ins, v)
 		}
 	}
@@ -98,10 +125,8 @@ func (d *DAG) Inputs() []int {
 // red pebbles any schedule needs (S ≥ MaxInDegree + 1).
 func (d *DAG) MaxInDegree() int {
 	worst := 0
-	for _, p := range d.preds {
-		if len(p) > worst {
-			worst = len(p)
-		}
+	for v := range d.Len() {
+		worst = max(worst, d.predOff[v+1]-d.predOff[v])
 	}
 	return worst
 }
@@ -112,7 +137,7 @@ func (d *DAG) TopoOrder() ([]int, error) {
 	n := d.Len()
 	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
-		indeg[v] = len(d.preds[v])
+		indeg[v] = len(d.Preds(v))
 	}
 	queue := make([]int, 0, n)
 	for v := 0; v < n; v++ {
@@ -125,7 +150,7 @@ func (d *DAG) TopoOrder() ([]int, error) {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, s := range d.succs[v] {
+		for _, s := range d.Succs(v) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)

@@ -6,11 +6,7 @@ import (
 )
 
 func TestDAGBasics(t *testing.T) {
-	d := NewDAG(4)
-	d.AddEdge(0, 2)
-	d.AddEdge(1, 2)
-	d.AddEdge(2, 3)
-	d.MarkOutput(3)
+	d := newDAG(4, [][2]int{{0, 2}, {1, 2}, {2, 3}}, []int{3}, nil)
 	if d.Len() != 4 {
 		t.Fatalf("Len = %d", d.Len())
 	}
@@ -29,12 +25,7 @@ func TestDAGBasics(t *testing.T) {
 }
 
 func TestTopoOrder(t *testing.T) {
-	d := NewDAG(5)
-	d.AddEdge(0, 1)
-	d.AddEdge(1, 2)
-	d.AddEdge(0, 3)
-	d.AddEdge(3, 2)
-	d.AddEdge(2, 4)
+	d := newDAG(5, [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 2}, {2, 4}}, nil, nil)
 	order, err := d.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +44,7 @@ func TestTopoOrder(t *testing.T) {
 }
 
 func TestTopoOrderDetectsCycle(t *testing.T) {
-	d := NewDAG(3)
-	d.AddEdge(0, 1)
-	d.AddEdge(1, 2)
-	d.AddEdge(2, 0)
+	d := newDAG(3, [][2]int{{0, 1}, {1, 2}, {2, 0}}, nil, nil)
 	if _, err := d.TopoOrder(); err == nil {
 		t.Error("cycle not detected")
 	}
@@ -64,10 +52,10 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 
 func TestDAGPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewDAG(0) },
-		func() { NewDAG(2).AddEdge(0, 2) },
-		func() { NewDAG(2).AddEdge(1, 1) },
-		func() { NewDAG(2).MarkOutput(-1) },
+		func() { newDAG(0, nil, nil, nil) },
+		func() { newDAG(2, [][2]int{{0, 2}}, nil, nil) },
+		func() { newDAG(2, [][2]int{{1, 1}}, nil, nil) },
+		func() { newDAG(2, nil, []int{-1}, nil) },
 	} {
 		func() {
 			defer func() {

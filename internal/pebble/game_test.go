@@ -4,11 +4,7 @@ import "testing"
 
 // twoInputSum builds in0, in1 → sum (output).
 func twoInputSum() *DAG {
-	d := NewDAG(3)
-	d.AddEdge(0, 2)
-	d.AddEdge(1, 2)
-	d.MarkOutput(2)
-	return d
+	return newDAG(3, [][2]int{{0, 2}, {1, 2}}, []int{2}, nil)
 }
 
 func TestExecuteLegalSchedule(t *testing.T) {

@@ -156,7 +156,7 @@ func TestOptimalValidation(t *testing.T) {
 	if _, err := OptimalIO(d, 0); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := OptimalIO(NewDAG(40), 2); err == nil {
+	if _, err := OptimalIO(newDAG(40, nil, nil, nil), 2); err == nil {
 		t.Error("oversized DAG accepted")
 	}
 }
@@ -258,30 +258,54 @@ func TestHongKungFloorsHoldWhereTheyBind(t *testing.T) {
 // randomDAG draws a DAG of n vertices in which each vertex consumes up to
 // three of the four before it, so sinks, the outputs, stay few.
 func randomDAG(rng *rand.Rand, n int) *DAG {
-	d := NewDAG(n)
+	var edges [][2]int
+	consumed := make([]bool, n)
 	for v := 1; v < n; v++ {
 		w := min(v, 4)
 		for _, u := range rng.Perm(w)[:rng.Intn(min(w, 3)+1)] {
-			d.AddEdge(v-1-u, v)
+			edges = append(edges, [2]int{v - 1 - u, v})
+			consumed[v-1-u] = true
 		}
 	}
+	var outputs []int
 	for v := range n {
-		if len(d.Succs(v)) == 0 {
-			d.MarkOutput(v)
+		if !consumed[v] {
+			outputs = append(outputs, v)
 		}
 	}
-	return d
+	return newDAG(n, edges, outputs, nil)
 }
 
-// TestOptimalIOMatchesDequeSearch: the level-by-level search returns the
-// same optimum and the same error text as the deque search it replaced,
-// kept below verbatim, on three seeded random DAGs of each size from 1 to
-// 12 vertices at every red pebble budget from 1 to n+1.
+// TestOptimalIOMatchesDequeSearch: the level-by-level search over its
+// open-addressed table returns the same optimum and the same error text as
+// the deque search over a map that it replaced, kept below verbatim, on
+// three seeded random DAGs of each size from 1 to 12 vertices and on every
+// builder's tiny instances, at every red pebble budget from 1 to n+1.
 func TestOptimalIOMatchesDequeSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2212))
-	var solved, refused int
+	var dags []*DAG
 	for i := range 36 {
-		d := randomDAG(rng, 1+i%12)
+		dags = append(dags, randomDAG(rng, 1+i%12))
+	}
+	for _, build := range []func() (*DAG, error){
+		func() (*DAG, error) { return FFTDAG(2) },
+		func() (*DAG, error) { return FFTDAG(4) },
+		func() (*DAG, error) { return MatMulDAG(1) },
+		func() (*DAG, error) { return Stencil1DDAG(3, 2) },
+		func() (*DAG, error) { return Stencil1DDAG(4, 1) },
+		func() (*DAG, error) { return Stencil2DDAG(3, 1) },
+		func() (*DAG, error) { return DiamondDAG(3) },
+		func() (*DAG, error) { return ChainDAG(8) },
+		func() (*DAG, error) { return BinaryTreeDAG(4) },
+	} {
+		d, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dags = append(dags, d)
+	}
+	var solved, refused int
+	for _, d := range dags {
 		for s := 1; s <= d.Len()+1; s++ {
 			got, err := OptimalIO(d, s)
 			want, werr := dequeOptimalIO(d, s)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // GreedySchedule produces a legal schedule that computes every vertex once
@@ -28,14 +28,19 @@ func GreedySchedule(d *DAG, s int) (Schedule, error) {
 		pos[v] = i
 	}
 
-	// useQueue[v] lists the topo positions of v's consumers, ascending.
-	useQueue := make([][]int, d.Len())
+	// uses[d.succOff[v]:d.succOff[v+1]] lists the topo positions of v's
+	// consumers, ascending; uses[next[v]] is the first one still pending.
+	uses := make([]int, len(d.succs))
+	next := make([]int, d.Len())
 	for v := 0; v < d.Len(); v++ {
-		for _, c := range d.Succs(v) {
-			useQueue[v] = append(useQueue[v], pos[c])
+		row := uses[d.succOff[v]:d.succOff[v+1]]
+		for i, c := range d.Succs(v) {
+			row[i] = pos[c]
 		}
-		sort.Ints(useQueue[v])
+		slices.Sort(row)
+		next[v] = d.succOff[v]
 	}
+	exhausted := func(v int) bool { return next[v] == d.succOff[v+1] }
 
 	isOutput := make([]bool, d.Len())
 	for _, v := range d.Outputs() {
@@ -43,23 +48,23 @@ func GreedySchedule(d *DAG, s int) (Schedule, error) {
 	}
 
 	var sched Schedule
-	red := make(map[int]bool, s)
+	red := newRedSet(d.Len(), s)
 	blue := make([]bool, d.Len())
 	for _, v := range d.Inputs() {
 		blue[v] = true
 	}
 
 	nextUse := func(v int) int {
-		if len(useQueue[v]) == 0 {
+		if exhausted(v) {
 			return math.MaxInt
 		}
-		return useQueue[v][0]
+		return uses[next[v]]
 	}
 	// evictOne drops the red vertex used furthest in the future; ties go
-	// to the lowest vertex, so the schedule never depends on map order.
+	// to the lowest vertex, so the schedule never depends on set order.
 	evictOne := func() {
 		victim, worst := -1, -1
-		for v := range red {
+		for _, v := range red.members {
 			if nu := nextUse(v); nu > worst || nu == worst && v < victim {
 				victim, worst = v, nu
 			}
@@ -69,10 +74,10 @@ func GreedySchedule(d *DAG, s int) (Schedule, error) {
 			blue[victim] = true
 		}
 		sched = append(sched, Move{Delete, victim})
-		delete(red, victim)
+		red.remove(victim)
 	}
 	makeRoom := func(n int) {
-		for len(red)+n > s {
+		for len(red.members)+n > s {
 			evictOne()
 		}
 	}
@@ -83,7 +88,7 @@ func GreedySchedule(d *DAG, s int) (Schedule, error) {
 		}
 		// Bring missing operands into red pebbles.
 		for _, p := range d.Preds(v) {
-			if red[p] {
+			if red.has(p) {
 				continue
 			}
 			if !blue[p] {
@@ -93,13 +98,13 @@ func GreedySchedule(d *DAG, s int) (Schedule, error) {
 			}
 			makeRoom(1)
 			sched = append(sched, Move{Input, p})
-			red[p] = true
+			red.add(p)
 		}
 		// Compute v. Operands are protected from eviction by their
 		// imminent next use (== v's position, the minimum possible).
 		makeRoom(1)
 		sched = append(sched, Move{Compute, v})
-		red[v] = true
+		red.add(v)
 		if isOutput[v] {
 			sched = append(sched, Move{Output, v})
 			blue[v] = true
@@ -107,18 +112,48 @@ func GreedySchedule(d *DAG, s int) (Schedule, error) {
 		// Consume one pending use of each operand; drop operands that
 		// are exhausted.
 		for _, p := range d.Preds(v) {
-			useQueue[p] = useQueue[p][1:]
-			if len(useQueue[p]) == 0 && red[p] {
+			next[p]++
+			if exhausted(p) && red.has(p) {
 				sched = append(sched, Move{Delete, p})
-				delete(red, p)
+				red.remove(p)
 			}
 		}
-		if len(useQueue[v]) == 0 && red[v] {
+		if exhausted(v) && red.has(v) {
 			sched = append(sched, Move{Delete, v})
-			delete(red, v)
+			red.remove(v)
 		}
 	}
 	return sched, nil
+}
+
+// redSet is a set of red-pebbled vertices: members lists them in no
+// particular order, and at[v] is v's index in members, or -1.
+type redSet struct {
+	members []int
+	at      []int
+}
+
+func newRedSet(n, s int) *redSet {
+	r := &redSet{members: make([]int, 0, min(n, s)), at: make([]int, n)}
+	for v := range r.at {
+		r.at[v] = -1
+	}
+	return r
+}
+
+func (r *redSet) has(v int) bool { return r.at[v] >= 0 }
+
+func (r *redSet) add(v int) {
+	r.at[v] = len(r.members)
+	r.members = append(r.members, v)
+}
+
+// remove swaps the last member into v's place.
+func (r *redSet) remove(v int) {
+	i, last := r.at[v], r.members[len(r.members)-1]
+	r.members[i], r.at[last] = last, i
+	r.members = r.members[:len(r.members)-1]
+	r.at[v] = -1
 }
 
 // BlockedFFTSchedule pebbles an n-point FFTDAG with the Fig. 2 block
@@ -136,7 +171,15 @@ func BlockedFFTSchedule(n, m int) (Schedule, int, error) {
 	}
 	totalLevels := bits.TrailingZeros(uint(n))
 	perPass := bits.TrailingZeros(uint(m))
-	var sched Schedule
+	// A pass over lp levels inputs, outputs and deletes each of the n
+	// values once and computes and deletes 2n per level: n·(3 + 2·lp)
+	// moves.
+	moves := 0
+	for levelLo := 0; levelLo < totalLevels; levelLo += perPass {
+		moves += n * (3 + 2*min(perPass, totalLevels-levelLo))
+	}
+	sched := make(Schedule, 0, moves)
+	idx := make([]int, 0, m)
 
 	for levelLo := 0; levelLo < totalLevels; levelLo += perPass {
 		lp := min(perPass, totalLevels-levelLo)
@@ -145,7 +188,7 @@ func BlockedFFTSchedule(n, m int) (Schedule, int, error) {
 		for g := 0; g < n/groupSize; g++ {
 			base := g&(stride-1) | (g >> levelLo << (levelLo + lp))
 			// Input the block's current-level values.
-			idx := make([]int, groupSize)
+			idx = idx[:groupSize]
 			for t := 0; t < groupSize; t++ {
 				idx[t] = base + t*stride
 			}

@@ -130,6 +130,9 @@ func TestBlockedFFTScheduleLegalAndExactIO(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d m=%d: %v", tc.n, tc.m, err)
 		}
+		if len(sched) != cap(sched) {
+			t.Errorf("n=%d m=%d: %d moves in a schedule preallocated for %d", tc.n, tc.m, len(sched), cap(sched))
+		}
 		// Exactly 2N words per pass, matching CountBlockedFFT's I/O.
 		totalLevels, perPass := 0, 0
 		for v := tc.n; v > 1; v >>= 1 {
