@@ -110,7 +110,8 @@ type (
 	// JobDeleteResponse is the DELETE /v1/jobs/{id} body.
 	JobDeleteResponse = server.JobDeleteResponse
 	// JobProgress is the data payload of a job stream's "progress" SSE
-	// event: one engine pool completion inside the running job.
+	// event: one engine pool completion inside the running job. Its Key
+	// and Cached fields are always empty.
 	JobProgress = server.JobProgressDTO
 	// APIIndexResponse is the GET /v1/ body: the API surface as data —
 	// routes, error codes, computation ids, experiment ids.

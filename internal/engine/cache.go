@@ -72,13 +72,6 @@ func (c *Cache[T]) Lookup(key string) (T, bool) {
 	return e.val, true
 }
 
-// Forget drops the entry for key so the next Do recomputes it.
-func (c *Cache[T]) Forget(key string) {
-	c.mu.Lock()
-	delete(c.m, key)
-	c.mu.Unlock()
-}
-
 // Reset drops every entry.
 func (c *Cache[T]) Reset() {
 	c.mu.Lock()

@@ -1,6 +1,7 @@
 // Package engine is the concurrent experiment runner underneath the
 // reproduction: a context-aware, cancellable worker pool with deterministic
-// result ordering, per-key result caching, and progress callbacks.
+// result ordering, plus a single-flight result cache (Cache) for callers
+// that memoize whole computations.
 //
 // The design follows the paper's own decomposition argument (§4): the sweep
 // points and experiments of this reproduction are independent subcomputations,
@@ -9,7 +10,10 @@
 // concurrency never changes observable output. Every layer of the repo runs on
 // it: internal/kernels fans ratio-sweep points through a Pool, the
 // internal/experiments registry fans whole experiments through a Pool, and
-// cmd/experiments exposes the worker count as -parallel.
+// cmd/experiments exposes the worker count as -parallel. Pools take their
+// worker count, progress observer and span observer from the context
+// (WithParallelism, WithProgress, WithSpanObserver), so the layers that run
+// them need not know who is watching.
 package engine
 
 import (
@@ -19,45 +23,29 @@ import (
 	"time"
 )
 
-// Job is one unit of work for a Pool: the work itself plus an optional key
-// used for caching and progress reporting.
+// Job is one unit of work for a Pool.
 type Job[T any] struct {
-	// Key identifies the job in progress events and, when the Pool has a
-	// Cache, is the cache key. Jobs with an empty Key are never cached.
-	Key string
 	// Run performs the work. It must honor ctx cancellation for the pool's
 	// cancellation to be prompt, and must not retain ctx after returning.
 	Run func(ctx context.Context) (T, error)
 }
 
-// Event is one progress notification: job Index finished (successfully,
-// with Err set, or served from cache) as the Done-th of Total completions.
-// Events are delivered serially, so Done increases monotonically.
+// Event is one progress notification: a job finished, successfully or
+// not, as the Done-th of Total completions. Events are delivered serially,
+// so Done increases monotonically.
 type Event struct {
-	Key     string
-	Index   int
-	Done    int
-	Total   int
-	Err     error
-	Cached  bool
-	Elapsed time.Duration
+	Done  int
+	Total int
 }
 
 // Pool runs a batch of jobs with bounded parallelism. The zero value is
 // ready to use: GOMAXPROCS workers (or the context's parallelism, see
-// WithParallelism), no cache, no progress callback.
+// WithParallelism).
 type Pool[T any] struct {
 	// Parallelism bounds the number of concurrently running jobs. Zero or
 	// negative means "inherit": the context's parallelism if set via
 	// WithParallelism, else GOMAXPROCS.
 	Parallelism int
-	// OnProgress, when non-nil, is invoked after each job completes. Calls
-	// are serialized; the callback must not block for long.
-	OnProgress func(Event)
-	// Cache, when non-nil, memoizes results by Job.Key: a job whose key has
-	// a cached value is not re-run, and concurrent jobs sharing a key run
-	// the work once.
-	Cache *Cache[T]
 }
 
 // Run executes jobs and returns their results in job order — result i is
@@ -65,7 +53,8 @@ type Pool[T any] struct {
 // byte-identical to serial ones for deterministic jobs. The first job error
 // cancels the remaining jobs and is returned after all in-flight work
 // drains; jobs skipped by the cancellation never start. If ctx is cancelled
-// externally, Run returns ctx's cause.
+// externally, Run returns ctx's cause. Each finished job is reported to the
+// context's span observer and progress observer, if any.
 func (p *Pool[T]) Run(ctx context.Context, jobs []Job[T]) ([]T, error) {
 	results := make([]T, len(jobs))
 	if len(jobs) == 0 {
@@ -94,23 +83,14 @@ func (p *Pool[T]) Run(ctx context.Context, jobs []Job[T]) ([]T, error) {
 		})
 	}
 	onSpan := SpanObserverFrom(ctx)
-	onProgress := p.OnProgress
-	if onProgress == nil {
-		// Inherit a context-carried observer (WithProgress): the pools deep
-		// inside kernels and experiments never set OnProgress themselves,
-		// but a streaming caller above them still gets their events.
-		onProgress = ProgressFrom(ctx)
-	}
-	finish := func(i int, err error, cached bool, elapsed time.Duration) {
+	onProgress := ProgressFrom(ctx)
+	finish := func() {
 		if onProgress == nil {
 			return
 		}
 		progMu.Lock()
 		done++
-		onProgress(Event{
-			Key: jobs[i].Key, Index: i, Done: done, Total: len(jobs),
-			Err: err, Cached: cached, Elapsed: elapsed,
-		})
+		onProgress(Event{Done: done, Total: len(jobs)})
 		progMu.Unlock()
 	}
 
@@ -124,28 +104,16 @@ func (p *Pool[T]) Run(ctx context.Context, jobs []Job[T]) ([]T, error) {
 					continue // cancelled: drain without starting new work
 				}
 				start := time.Now()
-				var (
-					v      T
-					err    error
-					cached bool
-				)
-				if p.Cache != nil && jobs[i].Key != "" {
-					v, err, cached = p.Cache.Do(jobs[i].Key, func() (T, error) {
-						return jobs[i].Run(ctx)
-					})
-				} else {
-					v, err = jobs[i].Run(ctx)
-				}
+				v, err := jobs[i].Run(ctx)
 				if err != nil {
 					fail(err)
 				} else {
 					results[i] = v
 				}
-				elapsed := time.Since(start)
 				if onSpan != nil {
-					onSpan(jobs[i].Key, elapsed, cached)
+					onSpan(time.Since(start))
 				}
-				finish(i, err, cached, elapsed)
+				finish()
 			}
 		}()
 	}
@@ -168,8 +136,8 @@ func (p *Pool[T]) Run(ctx context.Context, jobs []Job[T]) ([]T, error) {
 // progressKey carries a progress observer through a context tree.
 type progressKey struct{}
 
-// WithProgress returns a context that delivers every zero-OnProgress Pool's
-// events beneath it to fn — the hook the server's SSE streams hang on: a
+// WithProgress returns a context that delivers every Pool's events
+// beneath it to fn — the hook the server's SSE streams hang on: a
 // sweep or experiment handler wraps its request context once and the pools
 // inside internal/kernels and internal/experiments report through it
 // without any of those layers knowing about streaming. Calls are
@@ -191,11 +159,11 @@ func ProgressFrom(ctx context.Context) func(Event) {
 // spanObserverKey carries a per-job span observer through a context tree.
 type spanObserverKey struct{}
 
-// SpanObserver receives one completed pool job: its key, its elapsed
-// wall time, and whether the cache served it. Unlike the progress
-// observer it is NOT serialized across jobs — implementations must be
-// concurrency-safe and cheap (the server's feeds atomic histograms).
-type SpanObserver func(key string, elapsed time.Duration, cached bool)
+// SpanObserver receives the elapsed wall time of one completed pool job.
+// Unlike the progress observer it is NOT serialized across jobs —
+// implementations must be concurrency-safe and cheap (the server's feeds
+// atomic histograms).
+type SpanObserver func(elapsed time.Duration)
 
 // WithSpanObserver returns a context that reports every pool job
 // beneath it to fn — the hook the server's stage profile hangs on:

@@ -14,7 +14,7 @@ func TestRunOrderingDeterministic(t *testing.T) {
 	jobs := make([]Job[int], 64)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Key: fmt.Sprint(i), Run: func(context.Context) (int, error) {
+		jobs[i] = Job[int]{Run: func(context.Context) (int, error) {
 			return i * i, nil
 		}}
 	}
@@ -107,54 +107,33 @@ func TestRunExternalCancellation(t *testing.T) {
 	}
 }
 
+// TestRunProgressEvents: the context's progress observer sees one event
+// per job, serialized, with Done counting up to Total, and the span
+// observer sees every job once.
 func TestRunProgressEvents(t *testing.T) {
 	var events []Event
+	var spans atomic.Int32
 	jobs := make([]Job[int], 10)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Key: fmt.Sprintf("job%d", i), Run: func(context.Context) (int, error) { return i, nil }}
+		jobs[i] = Job[int]{Run: func(context.Context) (int, error) { return i, nil }}
 	}
-	p := Pool[int]{Parallelism: 4, OnProgress: func(e Event) { events = append(events, e) }}
-	if _, err := p.Run(context.Background(), jobs); err != nil {
+	ctx := WithProgress(context.Background(), func(e Event) { events = append(events, e) })
+	ctx = WithSpanObserver(ctx, func(time.Duration) { spans.Add(1) })
+	p := Pool[int]{Parallelism: 4}
+	if _, err := p.Run(ctx, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 10 {
 		t.Fatalf("got %d events, want 10", len(events))
 	}
 	for i, e := range events {
-		if e.Done != i+1 || e.Total != 10 {
-			t.Errorf("event %d: Done=%d Total=%d, want %d/10", i, e.Done, e.Total, i+1)
+		if e != (Event{Done: i + 1, Total: 10}) {
+			t.Errorf("event %d = %+v, want %d/10", i, e, i+1)
 		}
 	}
-}
-
-func TestRunUsesCache(t *testing.T) {
-	var runs atomic.Int32
-	job := func(key string) Job[int] {
-		return Job[int]{Key: key, Run: func(context.Context) (int, error) {
-			runs.Add(1)
-			return len(key), nil
-		}}
-	}
-	cache := &Cache[int]{}
-	p := Pool[int]{Parallelism: 4, Cache: cache}
-	// 20 jobs over 2 distinct keys: the work runs at most twice.
-	var jobs []Job[int]
-	for i := 0; i < 10; i++ {
-		jobs = append(jobs, job("aa"), job("bbb"))
-	}
-	got, err := p.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		want := 2 + i%2
-		if v != want {
-			t.Errorf("result[%d] = %d, want %d", i, v, want)
-		}
-	}
-	if n := runs.Load(); n != 2 {
-		t.Errorf("work ran %d times, want 2 (single-flight per key)", n)
+	if n := spans.Load(); n != 10 {
+		t.Errorf("span observer saw %d jobs, want 10", n)
 	}
 }
 
@@ -180,7 +159,6 @@ func TestCacheDoesNotStoreErrors(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
-	c.Forget("k")
 	c.Reset()
 	if c.Len() != 0 {
 		t.Errorf("Len after Reset = %d", c.Len())

@@ -9,7 +9,6 @@ import (
 	"balarch/internal/fit"
 	"balarch/internal/kernels"
 	"balarch/internal/model"
-	"balarch/internal/opcount"
 	"balarch/internal/report"
 	"balarch/internal/textplot"
 )
@@ -123,21 +122,18 @@ func gridSweeps(ctx context.Context) ([]gridSweep, error) {
 	sweeps := make([]gridSweep, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg := cfg
-		// Each dimension is one kernels.Sweep over its tile sizes, keyed by
-		// the E4 convention of plotting against the tile *volume* s^d.
+		// Each dimension is one grid ratio sweep over its tile sizes,
+		// relabelled by the E4 convention of plotting against the tile
+		// *volume* s^d.
 		pts, err := cachedSweep(ctx, fmt.Sprintf("grid_d%d", cfg.dim), func() ([]kernels.RatioPoint, error) {
-			pts, _, err := kernels.Sweep(ctx, cfg.tiles, func(_ context.Context, tile int, c *opcount.Counter) (int, error) {
-				spec := kernels.GridSpec{Dim: cfg.dim, Size: cfg.size, Tile: tile, Iters: 1}
-				tot, err := kernels.CountRelaxTiled(spec)
-				if err != nil {
-					return 0, err
-				}
-				c.Ops64(tot.Ops)
-				c.Read64(tot.Reads)
-				c.Write64(tot.Writes)
-				return spec.TileVolume(), nil
-			})
-			return pts, err
+			pts, err := kernels.GridRatioSweep(ctx, cfg.dim, cfg.size, 1, cfg.tiles)
+			if err != nil {
+				return nil, err
+			}
+			for i, tile := range cfg.tiles {
+				pts[i].Memory = kernels.GridSpec{Dim: cfg.dim, Tile: tile}.TileVolume()
+			}
+			return pts, nil
 		})
 		if err != nil {
 			return nil, err

@@ -137,7 +137,7 @@ func RunAll(ctx context.Context, parallelism int) (results []*report.Result, pas
 	jobs := make([]engine.Job[*report.Result], len(reg))
 	for i, e := range reg {
 		e := e
-		jobs[i] = engine.Job[*report.Result]{Key: e.ID, Run: func(ctx context.Context) (*report.Result, error) {
+		jobs[i] = engine.Job[*report.Result]{Run: func(ctx context.Context) (*report.Result, error) {
 			res, err := e.Run(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", e.ID, err)

@@ -91,16 +91,7 @@ func CountConvolve(spec ConvolveSpec) (opcount.Totals, error) {
 // taps — the flat profile — or across tap counts at ample memory — the
 // linear-in-k profile — depending on which slice the caller requests.
 func ConvolveRatioSweep(ctx context.Context, n int, taps []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, taps, func(_ context.Context, k int, c *opcount.Counter) (int, error) {
-		spec := ConvolveSpec{N: n, Taps: k}
-		tot, err := CountConvolve(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, tot)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, taps, func(k int) ConvolveSpec { return ConvolveSpec{N: n, Taps: k} }, CountConvolve)
 }
 
 // ConvolveRef is the O(N·k) reference used to validate Convolve.

@@ -200,17 +200,17 @@ func siftDownMerge(heap []mergeEntry, root, end int, c *opcount.Counter) {
 // regenerates its own input from the seed, so points are independent and
 // run in parallel via Sweep.
 func SortRatioSweep(ctx context.Context, ms []int, seed int64) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, ms, func(_ context.Context, m int, c *opcount.Counter) (int, error) {
-		n := m * m
+	return Sweep(ctx, ms, func(_ context.Context, m int) (RatioPoint, error) {
+		spec := SortSpec{N: m * m, M: m}
 		rng := rand.New(rand.NewSource(seed))
-		input := make([]int64, n)
+		input := make([]int64, spec.N)
 		for i := range input {
 			input[i] = rng.Int63()
 		}
-		if _, err := ExternalSort(SortSpec{N: n, M: m}, input, c); err != nil {
-			return 0, err
+		var c opcount.Counter
+		if _, err := ExternalSort(spec, input, &c); err != nil {
+			return RatioPoint{}, err
 		}
-		return m, nil
+		return RatioPoint{Memory: spec.Memory(), Totals: c.Snapshot()}, nil
 	})
-	return pts, err
 }

@@ -212,16 +212,7 @@ func CountBlockedFFT(spec FFTSpec) (opcount.Totals, error) {
 // every pass full, matching the paper's asymptotic count exactly. Points
 // run in parallel via Sweep.
 func FFTRatioSweep(ctx context.Context, n int, blocks []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, blocks, func(_ context.Context, bs int, c *opcount.Counter) (int, error) {
-		spec := FFTSpec{N: n, Block: bs}
-		t, err := CountBlockedFFT(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, t)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, blocks, func(bs int) FFTSpec { return FFTSpec{N: n, Block: bs} }, CountBlockedFFT)
 }
 
 // FFTDecomposition describes the block structure of one pass for the Fig. 2

@@ -287,14 +287,5 @@ func forEachTile(spec GridSpec, tileLo []int, fn func()) {
 // experiment. size should be ≫ the largest tile so interior tiles dominate.
 // Points run in parallel via Sweep.
 func GridRatioSweep(ctx context.Context, dim, size, iters int, tiles []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, tiles, func(_ context.Context, tile int, c *opcount.Counter) (int, error) {
-		spec := GridSpec{Dim: dim, Size: size, Tile: tile, Iters: iters}
-		t, err := CountRelaxTiled(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, t)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, tiles, func(tile int) GridSpec { return GridSpec{Dim: dim, Size: size, Tile: tile, Iters: iters} }, CountRelaxTiled)
 }

@@ -204,29 +204,11 @@ func CountTriSolve(spec TriSolveSpec) (opcount.Totals, error) {
 // experiment, demonstrating the flat (I/O-bounded) profile. Points run in
 // parallel via Sweep.
 func MatVecRatioSweep(ctx context.Context, n int, chunks []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, chunks, func(_ context.Context, ch int, c *opcount.Counter) (int, error) {
-		spec := MatVecSpec{N: n, Chunk: ch}
-		t, err := CountMatVec(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, t)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, chunks, func(ch int) MatVecSpec { return MatVecSpec{N: n, Chunk: ch} }, CountMatVec)
 }
 
 // TriSolveRatioSweep measures the trisolve ratio across chunk sizes for the
 // E7 experiment. Points run in parallel via Sweep.
 func TriSolveRatioSweep(ctx context.Context, n int, chunks []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, chunks, func(_ context.Context, ch int, c *opcount.Counter) (int, error) {
-		spec := TriSolveSpec{N: n, Chunk: ch}
-		t, err := CountTriSolve(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, t)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, chunks, func(ch int) TriSolveSpec { return TriSolveSpec{N: n, Chunk: ch} }, CountTriSolve)
 }

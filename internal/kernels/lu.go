@@ -195,16 +195,7 @@ func luStep(n, bs, s0 int) opcount.Totals {
 // LURatioSweep measures the blocked triangularization ratio across block
 // sizes at fixed N for the E3 experiment. Points run in parallel via Sweep.
 func LURatioSweep(ctx context.Context, n int, blocks []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, blocks, func(_ context.Context, bs int, c *opcount.Counter) (int, error) {
-		spec := LUSpec{N: n, Block: bs}
-		t, err := CountBlockedLU(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, t)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, blocks, func(bs int) LUSpec { return LUSpec{N: n, Block: bs} }, CountBlockedLU)
 }
 
 // ReconstructLU multiplies the packed L and U factors back together, for

@@ -126,16 +126,7 @@ func CountBlockedMatMul(spec MatMulSpec) (opcount.Totals, error) {
 // ratios sit in the paper's asymptotic regime. Points run in parallel via
 // Sweep.
 func MatMulRatioSweep(ctx context.Context, n int, blocks []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, blocks, func(_ context.Context, bs int, c *opcount.Counter) (int, error) {
-		spec := MatMulSpec{N: n, Block: bs}
-		t, err := CountBlockedMatMul(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, t)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, blocks, func(bs int) MatMulSpec { return MatMulSpec{N: n, Block: bs} }, CountBlockedMatMul)
 }
 
 // RatioPoint pairs a local memory size with the exact counts measured at

@@ -169,14 +169,6 @@ func SpMVRef(a *CSR, x []float64) []float64 {
 // streamed words, independent of memory.
 func SpMVRatioSweep(ctx context.Context, n, nnzPerRow int, chunks []int) ([]RatioPoint, error) {
 	nnz := n * nnzPerRow
-	pts, _, err := Sweep(ctx, chunks, func(_ context.Context, ch int, c *opcount.Counter) (int, error) {
-		spec := SpMVSpec{N: n, Chunk: ch}
-		tot, err := CountSpMV(spec, nnz)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, tot)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, chunks, func(ch int) SpMVSpec { return SpMVSpec{N: n, Chunk: ch} },
+		func(s SpMVSpec) (opcount.Totals, error) { return CountSpMV(s, nnz) })
 }

@@ -219,14 +219,5 @@ func CountCAStrassen(spec StrassenSpec) (opcount.Totals, error) {
 // StrassenRatioSweep measures the CA-Strassen ratio across leaf sizes at
 // fixed N for the X4 experiment. Points run in parallel via Sweep.
 func StrassenRatioSweep(ctx context.Context, n int, leaves []int) ([]RatioPoint, error) {
-	pts, _, err := Sweep(ctx, leaves, func(_ context.Context, l int, c *opcount.Counter) (int, error) {
-		spec := StrassenSpec{N: n, Leaf: l}
-		t, err := CountCAStrassen(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, t)
-		return spec.Memory(), nil
-	})
-	return pts, err
+	return countSweep(ctx, leaves, func(l int) StrassenSpec { return StrassenSpec{N: n, Leaf: l} }, CountCAStrassen)
 }

@@ -10,48 +10,34 @@ import (
 // Sweep is the one ratio-sweep driver every kernel shares: it measures one
 // RatioPoint per parameter, fanning the points out across engine workers.
 // The sweep points are independent subcomputations in the paper's §4 sense,
-// so each point's goroutine owns a private opcount.Counter; the driver
-// snapshots each counter into its point and merges them all with
-// Counter.Add into the returned aggregate. Points come back in params
-// order, so a parallel sweep is byte-identical to a serial one.
-//
-// measure records the point's exact operation and I/O counts into c and
-// returns the local memory footprint (in words) the point represents.
-func Sweep[P any](ctx context.Context, params []P, measure func(ctx context.Context, p P, c *opcount.Counter) (memory int, err error)) ([]RatioPoint, opcount.Totals, error) {
-	type point struct {
-		pt RatioPoint
-		c  *opcount.Counter
-	}
-	jobs := make([]engine.Job[point], len(params))
+// so each point is a value its own job computes: the local memory
+// footprint (in words) the point represents and its exact operation and
+// I/O totals. Points come back in params order, so a parallel sweep is
+// byte-identical to a serial one.
+func Sweep[P any](ctx context.Context, params []P, measure func(ctx context.Context, p P) (RatioPoint, error)) ([]RatioPoint, error) {
+	jobs := make([]engine.Job[RatioPoint], len(params))
 	for i, p := range params {
-		p := p
-		jobs[i] = engine.Job[point]{Run: func(ctx context.Context) (point, error) {
-			var c opcount.Counter
-			mem, err := measure(ctx, p, &c)
-			if err != nil {
-				return point{}, err
-			}
-			return point{RatioPoint{Memory: mem, Totals: c.Snapshot()}, &c}, nil
+		jobs[i] = engine.Job[RatioPoint]{Run: func(ctx context.Context) (RatioPoint, error) {
+			return measure(ctx, p)
 		}}
 	}
-	var pool engine.Pool[point] // parallelism inherited from ctx
-	res, err := pool.Run(ctx, jobs)
+	var pool engine.Pool[RatioPoint] // parallelism inherited from ctx
+	pts, err := pool.Run(ctx, jobs)
 	if err != nil {
-		return nil, opcount.Totals{}, err
+		return nil, err
 	}
-	pts := make([]RatioPoint, len(res))
-	var total opcount.Counter
-	for i, r := range res {
-		pts[i] = r.pt
-		total.Add(r.c)
-	}
-	return pts, total.Snapshot(), nil
+	return pts, nil
 }
 
-// countPoint adapts a closed-form counting kernel to Sweep's measure shape:
-// it replays the precomputed totals into the point's counter.
-func countPoint(c *opcount.Counter, t opcount.Totals) {
-	c.Ops64(t.Ops)
-	c.Read64(t.Reads)
-	c.Write64(t.Writes)
+// countSweep is Sweep over a closed-form kernel: each point is its spec's
+// memory footprint and the spec's counted totals.
+func countSweep[S interface{ Memory() int }](ctx context.Context, params []int, spec func(p int) S, count func(S) (opcount.Totals, error)) ([]RatioPoint, error) {
+	return Sweep(ctx, params, func(_ context.Context, p int) (RatioPoint, error) {
+		s := spec(p)
+		t, err := count(s)
+		if err != nil {
+			return RatioPoint{}, err
+		}
+		return RatioPoint{Memory: s.Memory(), Totals: t}, nil
+	})
 }

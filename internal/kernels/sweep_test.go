@@ -10,19 +10,18 @@ import (
 	"balarch/internal/opcount"
 )
 
-func TestSweepPointsInOrderAndAggregate(t *testing.T) {
+func TestSweepPointsInOrder(t *testing.T) {
 	params := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	pts, total, err := Sweep(context.Background(), params,
-		func(_ context.Context, p int, c *opcount.Counter) (int, error) {
-			c.Ops(p)
-			c.Read(2 * p)
-			c.Write(1)
-			return 10 * p, nil
+	pts, err := Sweep(context.Background(), params,
+		func(_ context.Context, p int) (RatioPoint, error) {
+			return RatioPoint{Memory: 10 * p, Totals: opcount.Totals{Ops: uint64(p), Reads: uint64(2 * p), Writes: 1}}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantOps, wantReads, wantWrites uint64
+	if len(pts) != len(params) {
+		t.Fatalf("%d points for %d params", len(pts), len(params))
+	}
 	for i, p := range params {
 		if pts[i].Memory != 10*p {
 			t.Errorf("point %d memory = %d, want %d", i, pts[i].Memory, 10*p)
@@ -30,71 +29,56 @@ func TestSweepPointsInOrderAndAggregate(t *testing.T) {
 		if pts[i].Totals.Ops != uint64(p) || pts[i].Totals.Reads != uint64(2*p) {
 			t.Errorf("point %d totals = %+v", i, pts[i].Totals)
 		}
-		wantOps += uint64(p)
-		wantReads += uint64(2 * p)
-		wantWrites++
-	}
-	// The per-goroutine counters must merge (Counter.Add) into the exact
-	// whole-sweep totals.
-	if total.Ops != wantOps || total.Reads != wantReads || total.Writes != wantWrites {
-		t.Errorf("aggregate = %+v, want ops=%d reads=%d writes=%d",
-			total, wantOps, wantReads, wantWrites)
 	}
 }
 
 // TestSweepSerialParallelIdentical: the driver's output must not depend on
 // the worker count.
 func TestSweepSerialParallelIdentical(t *testing.T) {
-	measure := func(_ context.Context, bs int, c *opcount.Counter) (int, error) {
-		spec := MatMulSpec{N: 512, Block: bs}
-		tot, err := CountBlockedMatMul(spec)
-		if err != nil {
-			return 0, err
-		}
-		countPoint(c, tot)
-		return spec.Memory(), nil
-	}
 	blocks := []int{4, 8, 16, 32, 64}
-	serialPts, serialTot, err := Sweep(engine.WithParallelism(context.Background(), 1), blocks, measure)
+	sweep := func(par int) ([]RatioPoint, error) {
+		return countSweep(engine.WithParallelism(context.Background(), par), blocks,
+			func(bs int) MatMulSpec { return MatMulSpec{N: 512, Block: bs} }, CountBlockedMatMul)
+	}
+	serialPts, err := sweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parPts, parTot, err := Sweep(engine.WithParallelism(context.Background(), 8), blocks, measure)
+	parPts, err := sweep(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(serialPts) != fmt.Sprint(parPts) || serialTot != parTot {
+	if fmt.Sprint(serialPts) != fmt.Sprint(parPts) {
 		t.Errorf("parallel sweep differs from serial:\n%v\n%v", serialPts, parPts)
 	}
 }
 
 func TestSweepPropagatesError(t *testing.T) {
 	boom := errors.New("bad point")
-	_, _, err := Sweep(context.Background(), []int{1, 2, 3},
-		func(_ context.Context, p int, c *opcount.Counter) (int, error) {
+	pts, err := Sweep(context.Background(), []int{1, 2, 3},
+		func(_ context.Context, p int) (RatioPoint, error) {
 			if p == 2 {
-				return 0, boom
+				return RatioPoint{}, boom
 			}
-			c.Ops(1)
-			c.Read(1)
-			return p, nil
+			return RatioPoint{Memory: p, Totals: opcount.Totals{Ops: 1, Reads: 1}}, nil
 		})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the point error", err)
+	}
+	if pts != nil {
+		t.Errorf("points = %v on error, want nil", pts)
 	}
 }
 
 func TestSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Sweep(ctx, []int{1, 2, 3},
-		func(ctx context.Context, p int, c *opcount.Counter) (int, error) {
+	_, err := Sweep(ctx, []int{1, 2, 3},
+		func(ctx context.Context, p int) (RatioPoint, error) {
 			if err := ctx.Err(); err != nil {
-				return 0, err
+				return RatioPoint{}, err
 			}
-			c.Ops(1)
-			c.Read(1)
-			return p, nil
+			return RatioPoint{Memory: p, Totals: opcount.Totals{Ops: 1, Reads: 1}}, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)

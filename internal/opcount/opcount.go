@@ -4,9 +4,10 @@
 // The information model of Kung (1985) charges a computation two separate
 // costs: Ccomp, the total number of arithmetic operations, and Cio, the total
 // number of words moved between a processing element and the outside world
-// (one I/O operation transfers one word, paper §2). Every kernel in
-// internal/kernels threads a *Counter through its decomposition loops so the
-// two costs are measured exactly, not estimated.
+// (one I/O operation transfers one word, paper §2). Every executing kernel
+// in internal/kernels threads a *Counter through its decomposition loops so
+// the two costs are measured exactly, not estimated; the count-only forms
+// return the same two costs as a Totals value.
 package opcount
 
 import "fmt"
@@ -14,7 +15,7 @@ import "fmt"
 // Counter accumulates the two cost totals of the information model plus a
 // read/write breakdown of the I/O traffic. The zero value is ready to use.
 // Counter is not safe for concurrent use; each goroutine should own its own
-// Counter and merge with Add.
+// Counter.
 type Counter struct {
 	ops    uint64 // arithmetic operations (Ccomp)
 	reads  uint64 // words read from outside the PE
@@ -29,10 +30,6 @@ func (c *Counter) Ops(n int) {
 	c.ops += uint64(n)
 }
 
-// Ops64 adds n arithmetic operations given as a uint64, for count-only
-// kernels whose totals exceed the range of int on 32-bit platforms.
-func (c *Counter) Ops64(n uint64) { c.ops += n }
-
 // Read adds n words of input I/O.
 func (c *Counter) Read(n int) {
 	if n < 0 {
@@ -41,9 +38,6 @@ func (c *Counter) Read(n int) {
 	c.reads += uint64(n)
 }
 
-// Read64 adds n words of input I/O given as a uint64.
-func (c *Counter) Read64(n uint64) { c.reads += n }
-
 // Write adds n words of output I/O.
 func (c *Counter) Write(n int) {
 	if n < 0 {
@@ -51,9 +45,6 @@ func (c *Counter) Write(n int) {
 	}
 	c.writes += uint64(n)
 }
-
-// Write64 adds n words of output I/O given as a uint64.
-func (c *Counter) Write64(n uint64) { c.writes += n }
 
 // Ccomp returns the accumulated arithmetic operation count.
 func (c *Counter) Ccomp() uint64 { return c.ops }
@@ -77,16 +68,6 @@ func (c *Counter) Ratio() float64 {
 		panic("opcount: ratio undefined with zero I/O")
 	}
 	return float64(c.ops) / float64(io)
-}
-
-// Reset zeroes all tallies.
-func (c *Counter) Reset() { *c = Counter{} }
-
-// Add merges the tallies of other into c.
-func (c *Counter) Add(other *Counter) {
-	c.ops += other.ops
-	c.reads += other.reads
-	c.writes += other.writes
 }
 
 // Snapshot returns a copy of the current tallies.

@@ -114,6 +114,33 @@ func TestGreedyDeterministic(t *testing.T) {
 	}
 }
 
+// TestGreedyTieBreaksToLowestVertex pins evictOne's tie-break. Inputs 0,
+// 1 and 2 feed a = 3 and b = 4 (both from 0) and c = 5 (from 1 and 2);
+// the sink 6 consumes a, b and c. At S = 4, computing c needs a fifth
+// pebble while a and b are both next used by 6, the furthest use: the
+// tie must evict a, the lower vertex, which 6 then reads back.
+func TestGreedyTieBreaksToLowestVertex(t *testing.T) {
+	d := newDAG(7, [][2]int{{0, 3}, {0, 4}, {1, 5}, {2, 5}, {3, 6}, {4, 6}, {5, 6}}, []int{6}, nil)
+	sched, err := GreedySchedule(d, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Schedule{
+		{Input, 0}, {Compute, 3}, {Compute, 4}, {Delete, 0},
+		{Input, 1}, {Input, 2},
+		{Output, 3}, {Delete, 3}, // the tie: 3 and 4 both wait for 6
+		{Compute, 5}, {Delete, 1}, {Delete, 2},
+		{Input, 3}, {Compute, 6}, {Output, 6},
+		{Delete, 3}, {Delete, 4}, {Delete, 5}, {Delete, 6},
+	}
+	if !slices.Equal(sched, want) {
+		t.Fatalf("schedule = %v\nwant       %v", sched, want)
+	}
+	if _, err := Execute(d, 4, sched); err != nil {
+		t.Fatalf("schedule illegal: %v", err)
+	}
+}
+
 func TestBlockedFFTScheduleLegalAndExactIO(t *testing.T) {
 	for _, tc := range []struct{ n, m int }{
 		{16, 4}, {16, 2}, {16, 16}, {64, 8}, {128, 8},

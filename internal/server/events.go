@@ -162,7 +162,10 @@ func (b *eventBus) subscriberCount(topic string) int {
 // --- wire shapes ---
 
 // JobProgressDTO is the data payload of a job stream's "progress" event:
-// one engine pool completion inside the running job.
+// one engine pool completion inside the running job. Key and Cached are
+// always empty (so omitted on the wire): pool jobs carry neither a name
+// nor a cache of their own. They stay because client.JobProgress aliases
+// this type.
 type JobProgressDTO struct {
 	ID     string `json:"id"`
 	Done   int    `json:"done"`
@@ -179,7 +182,8 @@ type StreamDropDTO struct {
 }
 
 // ExperimentProgressDTO is the data payload of an experiment stream's
-// "progress" event.
+// "progress" event. Key and Cached are always empty (so omitted on the
+// wire), as in JobProgressDTO.
 type ExperimentProgressDTO struct {
 	ID     string `json:"id"`
 	Done   int    `json:"done"`
@@ -230,7 +234,7 @@ func (s *Server) publishJobTransition(j jobs.Job) {
 func (s *Server) jobProgressContext(ctx context.Context, id string) context.Context {
 	return engine.WithProgress(ctx, func(ev engine.Event) {
 		s.events.publish(jobTopic(id), busEvent{name: eventProgress, data: mustEventData(JobProgressDTO{
-			ID: id, Done: ev.Done, Total: ev.Total, Key: ev.Key, Cached: ev.Cached,
+			ID: id, Done: ev.Done, Total: ev.Total,
 		})}, false)
 	})
 }
@@ -403,7 +407,7 @@ func (s *Server) streamExperiment(w http.ResponseWriter, r *http.Request) {
 
 	ctx := engine.WithProgress(r.Context(), func(ev engine.Event) {
 		sw.event(eventProgress, mustEventData(ExperimentProgressDTO{
-			ID: id, Done: ev.Done, Total: ev.Total, Key: ev.Key, Cached: ev.Cached,
+			ID: id, Done: ev.Done, Total: ev.Total,
 		}))
 	})
 	res, apiErr := s.runExperiment(ctx, id)

@@ -241,30 +241,30 @@ func runHierarchySweep(ctx context.Context, req *SweepRequest) ([]kernels.RatioP
 	if level == 0 {
 		level = 1
 	}
-	pts, _, err := kernels.Sweep(ctx, req.Params,
-		func(_ context.Context, p int, c *opcount.Counter) (int, error) {
+	return kernels.Sweep(ctx, req.Params,
+		func(_ context.Context, p int) (kernels.RatioPoint, error) {
 			hp, err := hierarchyAt(h, vary, level, float64(p))
 			if err != nil {
-				return 0, err
+				return kernels.RatioPoint{}, err
 			}
 			a, err := model.AnalyzeHierarchy(hp, comp, defaultMaxMemory)
 			if err != nil {
-				return 0, err
+				return kernels.RatioPoint{}, err
 			}
 			r := a.BindingBoundary().AchievableRatio
 			if r < 0 || math.IsNaN(r) {
 				r = 0
 			}
 			if r > 1e12 {
-				// Clamp so the synthetic-counter encoding below cannot
+				// Clamp so the synthetic-totals encoding below cannot
 				// overflow uint64; no physical ratio lives up here.
 				r = 1e12
 			}
-			c.Ops64(uint64(math.Round(r * hierarchyRatioScale)))
-			c.Read64(hierarchyRatioScale)
-			return p, nil
+			return kernels.RatioPoint{Memory: p, Totals: opcount.Totals{
+				Ops:   uint64(math.Round(r * hierarchyRatioScale)),
+				Reads: hierarchyRatioScale,
+			}}, nil
 		})
-	return pts, err
 }
 
 // defaultMaxMemory mirrors Server.maxMemoryDefault for the registry hooks,

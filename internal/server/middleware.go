@@ -99,7 +99,7 @@ var requestIDSeq atomic.Int64
 
 // RequestID echoes the client's X-Request-Id header onto the response, or
 // assigns a sequential "balarch-<n>" id when the client sent none. It sets
-// the response header before the inner handler runs, so Logging (inside it
+// the response header before the inner handler runs, so Observe (inside it
 // in the server's stack) can include the id in its line.
 func RequestID() Middleware {
 	return func(next http.Handler) http.Handler {
@@ -144,12 +144,6 @@ func Recover(log *slog.Logger, m *Metrics) Middleware {
 			next.ServeHTTP(w, r)
 		})
 	}
-}
-
-// Logging is Observe without tracing, kept for embedders that reuse the
-// middleware pieces individually.
-func Logging(log *slog.Logger, m *Metrics) Middleware {
-	return Observe(log, m, nil)
 }
 
 // Observe is the per-request accounting middleware: it feeds the
@@ -268,9 +262,8 @@ func routeLabel(r *http.Request) string {
 
 // LimitConcurrency bounds the number of requests inside the handler at
 // once: request n+1 waits for a slot rather than stampeding the kernel
-// sweeps, and a request whose context dies (client disconnect, or the
-// per-request deadline when WithTimeout wraps this limiter) while queued
-// gets 503 instead of a slot. Paths listed in exempt bypass the limit —
+// sweeps, and a request whose context dies (a client disconnect) while
+// queued gets 503 instead of a slot. Paths listed in exempt bypass the limit —
 // liveness probes must answer even when the server is saturated. n ≤ 0
 // disables the limit.
 func LimitConcurrency(n int, exempt ...string) Middleware {
@@ -303,22 +296,6 @@ func LimitConcurrency(n int, exempt ...string) Middleware {
 			}
 			defer func() { <-slots }()
 			next.ServeHTTP(w, r)
-		})
-	}
-}
-
-// WithTimeout attaches a per-request deadline to the request context so a
-// runaway sweep cannot hold a connection (and a concurrency slot) forever.
-// d ≤ 0 disables the deadline.
-func WithTimeout(d time.Duration) Middleware {
-	if d <= 0 {
-		return func(next http.Handler) http.Handler { return next }
-	}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), d)
-			defer cancel()
-			next.ServeHTTP(w, r.WithContext(ctx))
 		})
 	}
 }

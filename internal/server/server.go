@@ -277,16 +277,17 @@ func (s *Server) Close(ctx context.Context) error {
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Handler returns the full API behind the middleware stack:
-// requestid(logging+metrics(recover(limiter(mux)))). RequestID
-// sits outermost so every response — including a limiter 503 or a recovered
-// panic — carries the correlation header, and so Logging (inside it) can
-// log the id. No request copy separates Logging from the mux
-// (the mux stamps the matched pattern on the request it serves; a copy
-// in between would hide it from the route metrics). Recover sits inside
-// Logging so a recovered panic's 500 is still logged, counted, and
-// decremented from the in-flight gauge. Health and metrics probes
-// bypass the limiter: a saturated server must still answer its load
-// balancer.
+// requestid(observe(recover(tenancy(limiter(mux))))), wrapped in the node
+// header when Options.NodeID is set. RequestID sits outermost so every
+// response — including a limiter 503 or a recovered panic — carries the
+// correlation header, and so Observe (the logging, metrics and tracing
+// middleware inside it) can log the id. No request copy separates
+// Observe from the mux (the mux stamps the matched pattern on the request
+// it serves; a copy in between would hide it from the route metrics).
+// Recover sits inside Observe so a recovered panic's 500 is still
+// logged, counted, and decremented from the in-flight gauge. Health and
+// metrics probes bypass the limiter: a saturated server must still
+// answer its load balancer.
 //
 // The per-request budget (Options.RequestTimeout) is applied inside the
 // operations whose elapsed time can actually grow — sweep flights
@@ -295,7 +296,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // request costs several allocations, and the analytic endpoints it would
 // cover are microsecond-scale arithmetic with service caps on their loop
 // counts (maxRooflinePoints, maxSweepPoints, maxHierarchyLevels).
-// WithTimeout remains exported for embedders composing their own stacks.
 func (s *Server) Handler() http.Handler {
 	limit := s.opts.MaxInFlight
 	if limit == 0 {
@@ -577,13 +577,11 @@ func (s *Server) sweepContext(ctx context.Context) context.Context {
 	return engine.WithSpanObserver(ctx, s.observePoolJob)
 }
 
-// observePoolJob feeds one engine pool job into the compute stage.
-// Cache-served jobs are skipped: their elapsed time is a map probe, and
-// counting it would drown the histogram's real kernel costs.
-func (s *Server) observePoolJob(_ string, elapsed time.Duration, cached bool) {
-	if !cached {
-		s.stages.Observe(obs.StageCompute, elapsed)
-	}
+// observePoolJob feeds one engine pool job into the compute stage. A
+// memoized sweep never reaches its pool, so every job observed here did
+// real kernel work.
+func (s *Server) observePoolJob(elapsed time.Duration) {
+	s.stages.Observe(obs.StageCompute, elapsed)
 }
 
 // --- core operations (shared by handlers and /v1/batch) ---

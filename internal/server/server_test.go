@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"balarch/internal/obs"
 )
@@ -438,15 +437,21 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestSweepStageAccounting: a cached sweep records exactly one
-// cache_lookup observation and no compute observation — runSweep owns
-// its stages, so the handler must not wrap it in a compute span.
+// TestSweepStageAccounting: an uncached sweep records one compute
+// observation per point (the engine pool's span observer), and a cached
+// sweep records exactly one cache_lookup observation and no compute
+// observation — runSweep owns its stages, so the handler must not wrap it
+// in a compute span.
 func TestSweepStageAccounting(t *testing.T) {
 	s, h := newTestHandler(Options{})
 	body := `{"kernel": "matmul", "n": 64, "params": [8, 16]}`
-	wantStatus(t, h, "POST", "/v1/sweep", body, 200, "")
-	lookups := s.Stages().Snapshot(obs.StageCacheLookup).Count
 	computes := s.Stages().Snapshot(obs.StageCompute).Count
+	wantStatus(t, h, "POST", "/v1/sweep", body, 200, "")
+	if got := s.Stages().Snapshot(obs.StageCompute).Count - computes; got != 2 {
+		t.Errorf("uncached 2-point sweep recorded %d compute observations, want 2", got)
+	}
+	lookups := s.Stages().Snapshot(obs.StageCacheLookup).Count
+	computes = s.Stages().Snapshot(obs.StageCompute).Count
 	decoded := wantStatus(t, h, "POST", "/v1/sweep", body, 200, "")
 	if decoded["cached"] != true {
 		t.Fatalf("second sweep not served from the memo: %v", decoded)
@@ -521,14 +526,14 @@ func TestRecoverMiddleware(t *testing.T) {
 	}
 }
 
-// TestPanicAccountedInMetrics: with Recover inside Logging (the server's
+// TestPanicAccountedInMetrics: with Recover inside Observe (the server's
 // chain order), a recovered panic is still counted as a 500 request and
 // the in-flight gauge returns to rest — panics must not leak it.
 func TestPanicAccountedInMetrics(t *testing.T) {
 	m := NewMetrics()
 	h := Chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
-	}), Logging(nil, m), Recover(nil, m))
+	}), Observe(nil, m, nil), Recover(nil, m))
 	for i := 0; i < 3; i++ {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("GET", "/doomed", nil))
@@ -631,22 +636,6 @@ func TestSweepFlightSurvivesInitiatorDisconnect(t *testing.T) {
 	resp2, apiErr := s.runSweep(context.Background(), req)
 	if apiErr != nil || !resp2.Cached {
 		t.Errorf("follow-up = (%+v, %v), want cached success", resp2, apiErr)
-	}
-}
-
-func TestWithTimeoutSetsDeadline(t *testing.T) {
-	var had bool
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, had = r.Context().Deadline()
-	})
-	WithTimeout(time.Second)(inner).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
-	if !had {
-		t.Error("request context has no deadline under WithTimeout")
-	}
-	had = true
-	WithTimeout(0)(inner).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
-	if had {
-		t.Error("WithTimeout(0) must not set a deadline")
 	}
 }
 

@@ -27,13 +27,14 @@ const (
 	maxSpMVDensity  = 1 << 10 // nnz per row
 	maxConvolveTaps = 1 << 16
 
-	// Work caps, bounding a point's (or request's) loop iterations rather
-	// than its nominal problem size. The blocked counting kernels cost
-	// O((n/b)²) per point, so n alone being capped still admits ~10¹³-step
-	// requests at b = 1; and the sort and grid kernels execute for real,
-	// so their *total* work across a request's points is what must be
-	// bounded. Found by the DTO fuzz targets, kept as service contracts.
-	maxBlocksPerSide = 4096    // (n/param)² ≤ ~16.8M counting steps per point
+	// Work caps, bounding a point's (or request's) work rather than its
+	// nominal problem size. Sort executes for real, so its *total* work
+	// across a request's points is what must be bounded. The blocked and
+	// grid kernels are count-only (the closed-form kernels.Count*, at most
+	// O(n) a point), so their caps bound no real work; they stay because
+	// the 422s they return are part of the wire. Found by the DTO fuzz
+	// targets, kept as service contracts.
+	maxBlocksPerSide = 4096    // (n/param)² ≤ ~16.8M blocks per point
 	maxSortKeysTotal = 1 << 23 // Σ params² keys actually sorted per request
 	maxGridWorkTotal = 1 << 27 // cells × iters × points per request
 )
