@@ -22,9 +22,19 @@ func RunE12Cache(ctx context.Context) (*report.Result, error) {
 	}
 	r := &report.Result{ID: "E12", Title: "cache simulation of naive vs blocked matmul", PaperLocus: "§1 (motivation), §3.1"}
 	n, b := 48, 8
+	caches := []int{32, 96, 256, 1024, 4096}
+
+	// The naive trace is replayed at every cache size before the blocked
+	// one is built, so the two traces are never live at once.
 	naive, err := memsim.NaiveMatMulTrace(n)
 	if err != nil {
 		return nil, err
+	}
+	naiveLRU := make([]memsim.Result, len(caches))
+	for i, cap := range caches {
+		if naiveLRU[i], err = memsim.SimulateLRU(naive, cap); err != nil {
+			return nil, err
+		}
 	}
 	blocked, err := memsim.BlockedMatMulTrace(n, b)
 	if err != nil {
@@ -32,15 +42,11 @@ func RunE12Cache(ctx context.Context) (*report.Result, error) {
 	}
 
 	tb := textplot.NewTable("cache (words)", "naive LRU misses", "blocked LRU misses", "blocked OPT misses", "naive/blocked")
-	caches := []int{32, 96, 256, 1024, 4096}
 	var nRows [][]float64
 	var atWorkingSet float64
 	var lru96, opt96 memsim.Result // the blocked replays at cache = 96
-	for _, cap := range caches {
-		rn, err := memsim.SimulateLRU(naive, cap)
-		if err != nil {
-			return nil, err
-		}
+	for i, cap := range caches {
+		rn := naiveLRU[i]
 		rb, err := memsim.SimulateLRU(blocked, cap)
 		if err != nil {
 			return nil, err

@@ -64,65 +64,117 @@ func externalSortInternal(spec SortSpec, input []int64, sortCounter, mergeCounte
 	if spec.N == 0 {
 		return nil, nil
 	}
-
-	// Phase 1: produce sorted runs of up to M keys.
-	var runs [][]int64
-	for lo := 0; lo < spec.N; lo += spec.M {
-		hi := min(lo+spec.M, spec.N)
-		run := make([]int64, hi-lo)
-		copy(run, input[lo:hi])
-		sortCounter.Read(len(run))
-		HeapSortKeys(run, sortCounter)
-		sortCounter.Write(len(run))
-		runs = append(runs, run)
-	}
-
-	// Phase 2: merge up to M runs at a time until one remains.
-	for len(runs) > 1 {
-		var next [][]int64
-		for lo := 0; lo < len(runs); lo += spec.M {
-			hi := min(lo+spec.M, len(runs))
-			merged := mergeRuns(runs[lo:hi], mergeCounter)
-			next = append(next, merged)
-		}
-		runs = next
-	}
-	return runs[0], nil
+	keys := make([]int64, spec.N)
+	copy(keys, input)
+	return externalSortKeys(spec, keys, sortCounter, mergeCounter), nil
 }
 
-// HeapSortKeys sorts keys in place with bottom-up heapsort, counting
-// comparisons. Exported so tests and benchmarks can exercise the in-memory
-// phase alone.
+// externalSortKeys sorts keys, which must hold spec.N ≥ 1 keys of a valid
+// spec and which the sort may overwrite, and returns the sorted keys.
+//
+// The sort works in two buffers of N keys. Phase 1 sorts each run of M keys
+// in place in keys; each merge pass then merges groups of M runs from one
+// buffer into the other and swaps them. Every run but the last of a pass is
+// full, so a pass's runs are found from their width alone.
+func externalSortKeys(spec SortSpec, keys []int64, sortCounter, mergeCounter *opcount.Counter) []int64 {
+	n, m := spec.N, spec.M
+
+	// Phase 1: produce sorted runs of up to M keys. Every key is read in
+	// and written back out once.
+	ops := 0
+	for lo := 0; lo < n; lo += m {
+		ops += heapSortKeys(keys[lo:min(lo+m, n)])
+	}
+	sortCounter.Read(n)
+	sortCounter.Ops(ops)
+	sortCounter.Write(n)
+	if n <= m {
+		return keys
+	}
+
+	// Phase 2: merge up to M runs at a time until one remains. Each pass
+	// reads and writes every key once.
+	src, dst := keys, make([]int64, n)
+	heap := make([]mergeEntry, 0, m)
+	heads := make([]int, m)
+	ends := make([]int, m)
+	ops, moved := 0, 0
+	for width := m; width < n; {
+		group := n // keys per merge: M runs of width keys, at most N
+		if width <= n/m {
+			group = width * m
+		}
+		for lo := 0; lo < n; lo += group {
+			ops += mergeRuns(src, dst, lo, min(lo+group, n), width, heap, heads, ends)
+		}
+		moved += n
+		src, dst = dst, src
+		width = group
+	}
+	mergeCounter.Read(moved)
+	mergeCounter.Ops(ops)
+	mergeCounter.Write(moved)
+	return src
+}
+
+// HeapSortKeys sorts keys in place with the classic Williams/Floyd heapsort
+// (a top-down sift, two comparisons per level), counting comparisons.
+// Exported so tests and benchmarks can exercise the in-memory phase alone.
 func HeapSortKeys(keys []int64, c *opcount.Counter) {
+	c.Ops(heapSortKeys(keys))
+}
+
+// heapSortKeys sorts keys in place and returns the comparisons it made.
+func heapSortKeys(keys []int64) int {
+	ops := 0
 	n := len(keys)
 	for i := n/2 - 1; i >= 0; i-- {
-		siftDownKeys(keys, i, n, c)
+		ops += siftDownKeys(keys, i, keys[i])
 	}
 	for end := n - 1; end > 0; end-- {
-		keys[0], keys[end] = keys[end], keys[0]
-		siftDownKeys(keys, 0, end, c)
+		v := keys[end]
+		keys[end] = keys[0]
+		ops += siftDownKeys(keys[:end], 0, v)
 	}
+	return ops
 }
 
-func siftDownKeys(keys []int64, root, end int, c *opcount.Counter) {
+// siftDownKeys sifts v down the max-heap keys from the hole at root and
+// returns the comparisons it made: one to pick the larger child (ties pick
+// the left) and one to test v against it, per level. Children move up into
+// the hole and v is stored once, where it comes to rest.
+func siftDownKeys(keys []int64, root int, v int64) int {
+	ops := 0
 	for {
 		child := 2*root + 1
-		if child >= end {
-			return
+		if child >= len(keys) {
+			break
 		}
-		if child+1 < end {
-			c.Ops(1)
-			if keys[child+1] > keys[child] {
-				child++
-			}
+		big := keys[child]
+		if child+1 < len(keys) {
+			ops++
+			right := keys[child+1]
+			child += b2i(right > big)
+			big = max(big, right)
 		}
-		c.Ops(1)
-		if keys[root] >= keys[child] {
-			return
+		ops++
+		if v >= big {
+			break
 		}
-		keys[root], keys[child] = keys[child], keys[root]
+		keys[root] = big
 		root = child
 	}
+	keys[root] = v
+	return ops
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag set,
+// so a child pick costs no branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // mergeEntry is one heap element in the M-way merge: the current head key of
@@ -132,85 +184,88 @@ type mergeEntry struct {
 	run int
 }
 
-// mergeRuns merges the given sorted runs with a binary min-heap of one entry
-// per run (the paper's "heap of M elements which are the first elements of
-// the current M sorted lists"), counting comparisons and word traffic.
-func mergeRuns(runs [][]int64, c *opcount.Counter) []int64 {
-	total := 0
-	heads := make([]int, len(runs))
-	heap := make([]mergeEntry, 0, len(runs))
-	for r, run := range runs {
-		total += len(run)
-		if len(run) > 0 {
-			c.Read(1)
-			heap = append(heap, mergeEntry{key: run[0], run: r})
-			heads[r] = 1
-		}
+// mergeRuns merges the sorted runs of width keys that tile src[lo:hi] into
+// dst[lo:hi] with a binary min-heap of one entry per run (the paper's "heap
+// of M elements which are the first elements of the current M sorted
+// lists"), and returns the comparisons it made. heap, heads and ends are
+// scratch with room for one entry per run.
+func mergeRuns(src, dst []int64, lo, hi, width int, heap []mergeEntry, heads, ends []int) int {
+	heap = heap[:0]
+	for r, start := 0, lo; start < hi; r, start = r+1, start+width {
+		heap = append(heap, mergeEntry{key: src[start], run: r})
+		heads[r] = start + 1
+		ends[r] = min(start+width, hi)
 	}
+	ops := 0
 	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDownMerge(heap, i, len(heap), c)
+		ops += siftDownMerge(heap, i, heap[i])
 	}
 
-	out := make([]int64, 0, total)
-	for len(heap) > 0 {
+	for out := lo; ; out++ {
 		top := heap[0]
-		out = append(out, top.key)
-		c.Write(1)
+		dst[out] = top.key
 		r := top.run
-		if heads[r] < len(runs[r]) {
-			c.Read(1)
-			heap[0] = mergeEntry{key: runs[r][heads[r]], run: r}
-			heads[r]++
+		var next mergeEntry
+		if h := heads[r]; h < ends[r] {
+			next = mergeEntry{key: src[h], run: r}
+			heads[r] = h + 1
 		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
+			last := len(heap) - 1
+			if last == 0 {
+				return ops
+			}
+			next = heap[last]
+			heap = heap[:last]
 		}
-		if len(heap) > 0 {
-			siftDownMerge(heap, 0, len(heap), c)
-		}
+		ops += siftDownMerge(heap, 0, next)
 	}
-	return out
 }
 
-func siftDownMerge(heap []mergeEntry, root, end int, c *opcount.Counter) {
+// siftDownMerge sifts e down the min-heap from the hole at root and returns
+// the comparisons it made, as siftDownKeys does with the order reversed.
+func siftDownMerge(heap []mergeEntry, root int, e mergeEntry) int {
+	ops := 0
 	for {
 		child := 2*root + 1
-		if child >= end {
-			return
+		if child >= len(heap) {
+			break
 		}
-		if child+1 < end {
-			c.Ops(1)
-			if heap[child+1].key < heap[child].key {
-				child++
-			}
+		if child+1 < len(heap) {
+			ops++
+			child += b2i(heap[child+1].key < heap[child].key)
 		}
-		c.Ops(1)
-		if heap[root].key <= heap[child].key {
-			return
+		ops++
+		if e.key <= heap[child].key {
+			break
 		}
-		heap[root], heap[child] = heap[child], heap[root]
+		heap[root] = heap[child]
 		root = child
 	}
+	heap[root] = e
+	return ops
 }
 
 // SortRatioSweep measures the external-sort ratio across memory sizes for
-// the E6 experiment. Each point sorts N = runsPerMemory·M² keys so phase 2
-// is a genuine M-way merge, keeping both phases in the paper's regime. The
-// seed fixes the random input so the sweep is reproducible; each point
-// regenerates its own input from the seed, so points are independent and
-// run in parallel via Sweep.
+// the E6 experiment. Each point sorts N = M² keys so phase 2 is one genuine
+// M-way merge, keeping both phases in the paper's regime. The seed fixes the
+// random input so the sweep is reproducible; each point regenerates its own
+// input from the seed, so points are independent and run in parallel via
+// Sweep.
 func SortRatioSweep(ctx context.Context, ms []int, seed int64) ([]RatioPoint, error) {
 	return Sweep(ctx, ms, func(_ context.Context, m int) (RatioPoint, error) {
 		spec := SortSpec{N: m * m, M: m}
-		rng := rand.New(rand.NewSource(seed))
-		input := make([]int64, spec.N)
-		for i := range input {
-			input[i] = rng.Int63()
-		}
-		var c opcount.Counter
-		if _, err := ExternalSort(spec, input, &c); err != nil {
+		if err := spec.Validate(); err != nil {
 			return RatioPoint{}, err
 		}
+		// The keys are generated straight into the sort's first buffer:
+		// ExternalSort would copy them to leave its input untouched.
+		rng := rand.New(rand.NewSource(seed))
+		keys := make([]int64, spec.N)
+		for i := range keys {
+			keys[i] = rng.Int63()
+		}
+		var c opcount.Counter
+		externalSortKeys(spec, keys, &c, &c)
 		return RatioPoint{Memory: spec.Memory(), Totals: c.Snapshot()}, nil
 	})
 }

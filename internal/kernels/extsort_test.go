@@ -291,3 +291,22 @@ func TestPhasedMatchesAggregate(t *testing.T) {
 		t.Errorf("phases (%+v + %+v) != whole %+v", p1, p2, whole)
 	}
 }
+
+// TestExternalSortAllocsIndependentOfN: the sort works in buffers allocated
+// once per call, so its allocation count does not grow with N (a slice per
+// run or per merge would add ~M allocations at N = M²).
+func TestExternalSortAllocsIndependentOfN(t *testing.T) {
+	allocs := func(m int) float64 {
+		n := m * m
+		input := randomKeys(n, rand.New(rand.NewSource(47)))
+		return testing.AllocsPerRun(3, func() {
+			var c opcount.Counter
+			if _, err := ExternalSort(SortSpec{N: n, M: m}, input, &c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(256); small != large {
+		t.Errorf("allocs/op = %v at M=64 and %v at M=256, want equal", small, large)
+	}
+}
