@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,6 +48,9 @@ func main() {
 		fatal(err)
 	}
 	tb.AddRow("greedy (Belady eviction)", *s, res.IO(), res.PeakRed, res.Computes)
+	// best is the least I/O of a strategy that fits in S red pebbles, the
+	// upper end of the optimum's bracket when the search gives up.
+	best := res.IO()
 
 	if *kind == "fft" {
 		bsched, bs, err := pebble.BlockedFFTSchedule(*n, *block)
@@ -56,13 +60,21 @@ func main() {
 				fatal(err)
 			}
 			tb.AddRow(fmt.Sprintf("blocked (Fig. 2, M=%d)", *block), bs, bres.IO(), bres.PeakRed, bres.Computes)
+			if bs <= *s {
+				best = min(best, bres.IO())
+			}
 		}
 	}
 	if *optimal {
 		opt, err := pebble.OptimalIO(dag, *s)
-		if err != nil {
+		var capped *pebble.StateCapError
+		switch {
+		case errors.As(err, &capped):
 			fmt.Fprintln(os.Stderr, "optimal search:", err)
-		} else {
+			tb.AddRow("optimum bracket (state cap)", *s, fmt.Sprintf("[%d, %d]", capped.Lower, best), "-", "-")
+		case err != nil:
+			fmt.Fprintln(os.Stderr, "optimal search:", err)
+		default:
 			tb.AddRow("exhaustive optimum", *s, opt, "-", "-")
 		}
 	}

@@ -19,7 +19,7 @@ package memsim
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // Ref is one word-granular memory reference.
@@ -128,126 +128,144 @@ func SimulateLRU(t Trace, capacity int) (Result, error) {
 
 // SimulateOPT replays the trace through a fully associative cache with
 // Belady's optimal (furthest-future-use) replacement, the offline lower
-// bound no online policy can beat. It runs in O(T log C) time using a lazy
-// max-heap over next-use distances. Every hit leaves a stale entry behind,
-// so when the heap outgrows 2·capacity+64 entries it is filtered to the
-// live ones and rebuilt, in O(C) amortized over the Ω(C) pushes since the
-// last rebuild. Only words never referenced again share a next use, so
-// the heap's order among ties cannot change the Result.
+// bound no online policy can beat.
+//
+// A backward pass first records, for each reference i, the position
+// nextUse[i] at which its word next recurs. The replay then keeps one
+// pending position per resident word, the position of its next reference,
+// in a bitmap over trace positions (posSet). Reference i hits exactly when
+// position i is pending, since only a resident word's previous reference
+// can have set it. A hit clears i and sets nextUse[i]. A miss with the
+// cache full evicts the word whose pending position is highest, by
+// clearing that bit; the word itself need not be known. A resident word
+// that is never referenced again has no position and is only counted, and
+// such words are evicted first. They all share the furthest next use,
+// never, and evicting one leaves the same cache for the rest of the trace
+// as evicting another, so ties among them cannot change the Result. Every
+// other next use is a distinct position, so the choice is unique.
+//
+// Each bitmap operation touches one word per level, and a trace of T
+// references needs ⌈log₆₄ T⌉ levels, so the replay runs in O(T log₆₄ T)
+// time. It allocates the int32 next uses, the per-word scratch of the
+// backward pass and the bitmap: three allocations whatever the trace
+// length or the capacity.
 func SimulateOPT(t Trace, capacity int) (Result, error) {
 	if err := validateCapacity(capacity); err != nil {
 		return Result{}, err
 	}
-	const never = int(^uint(0) >> 1) // no future use
+	if len(t.refs) >= math.MaxInt32 {
+		return Result{}, fmt.Errorf("memsim: %d references exceed OPT's int32 positions", len(t.refs))
+	}
+	const never = -1 // no future use
 
 	// nextUse[i] = next position after i at which word t.refs[i].Addr
-	// recurs. The backward pass keeps in cur[w] the earliest reference
+	// recurs. The backward pass keeps in first[w] the earliest reference
 	// to w that it has seen.
-	nextUse := make([]int, len(t.refs))
-	cur := make([]int, t.words)
-	for w := range cur {
-		cur[w] = never
+	nextUse := make([]int32, len(t.refs))
+	first := make([]int32, t.words)
+	for w := range first {
+		first[w] = never
 	}
 	for i := len(t.refs) - 1; i >= 0; i-- {
 		w := t.refs[i].Addr
-		nextUse[i] = cur[w]
-		cur[w] = i
+		nextUse[i] = first[w]
+		first[w] = int32(i)
 	}
 
-	// From here cur[w] is the next use of w while w is resident, and
-	// notResident otherwise.
-	const notResident = -1
-	for w := range cur {
-		cur[w] = notResident
-	}
 	var res Result
-	resident := 0
-	h := make(optHeap, 0, capacity)
-	for i, ref := range t.refs {
+	pending := newPosSet(len(t.refs))
+	resident, dead := 0, 0 // dead: resident words never referenced again
+	for i := range t.refs {
 		res.Accesses++
-		if cur[ref.Addr] == notResident {
+		if pending.has(i) {
+			pending.clear(i)
+		} else {
 			res.Misses++
-			if resident == capacity {
-				// Evict the resident word whose next use is
-				// furthest; skip stale heap entries lazily.
-				for {
-					e := h.pop()
-					if cur[e.addr] == e.nextUse {
-						cur[e.addr] = notResident
-						res.Evictions++
-						break
-					}
-				}
-			} else {
+			switch {
+			case resident < capacity:
 				resident++
+			case dead > 0:
+				dead--
+				res.Evictions++
+			default:
+				pending.clear(pending.max())
+				res.Evictions++
 			}
 		}
-		cur[ref.Addr] = nextUse[i]
-		h.push(optEntry{nextUse: nextUse[i], addr: ref.Addr})
-		if len(h) > 2*capacity+64 {
-			h = slices.DeleteFunc(h, func(e optEntry) bool {
-				return cur[e.addr] != e.nextUse
-			})
-			h.heapify()
+		if nu := nextUse[i]; nu == never {
+			dead++
+		} else {
+			pending.set(int(nu))
 		}
 	}
 	return res, nil
 }
 
-type optEntry struct {
-	nextUse int
-	addr    uint64
+// posSet is a set of trace positions in a 64-ary tree of bitmaps: bit p of
+// level 0 is position p, and bit j of level l+1 is set exactly when word j
+// of level l is non-zero. The top level is one word. All levels share one
+// slice, so a set is a single allocation.
+type posSet struct {
+	levels [posSetMaxLevels][]uint64
+	n      int // levels in use
 }
 
-// optHeap is a max-heap on nextUse.
-type optHeap []optEntry
+// posSetMaxLevels covers 64⁶ = 2³⁶ positions, past SimulateOPT's int32
+// limit.
+const posSetMaxLevels = 6
 
-func (h *optHeap) push(e optEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].nextUse >= (*h)[i].nextUse {
+func newPosSet(size int) posSet {
+	var s posSet
+	total := 0
+	var widths [posSetMaxLevels]int
+	for w := max(1, (size+63)/64); ; w = (w + 63) / 64 {
+		widths[s.n] = w
+		total += w
+		s.n++
+		if w == 1 {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
+	}
+	words := make([]uint64, total)
+	for l := range s.n {
+		s.levels[l], words = words[:widths[l]], words[widths[l]:]
+	}
+	return s
+}
+
+func (s *posSet) has(p int) bool { return s.levels[0][p>>6]&(1<<(p&63)) != 0 }
+
+// set adds p, marking its level-0 word in the level above when that word
+// was empty, and so on up.
+func (s *posSet) set(p int) {
+	for l := range s.n {
+		w := &s.levels[l][p>>6]
+		was := *w
+		*w = was | 1<<(p&63)
+		if was != 0 {
+			return
+		}
+		p >>= 6
 	}
 }
 
-// heapify restores the heap order of arbitrary entries.
-func (h optHeap) heapify() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
+// clear removes p, unmarking each word that it empties in the level above.
+func (s *posSet) clear(p int) {
+	for l := range s.n {
+		w := &s.levels[l][p>>6]
+		*w &^= 1 << (p & 63)
+		if *w != 0 {
+			return
+		}
+		p >>= 6
 	}
 }
 
-func (h *optHeap) pop() optEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	h.down(0)
-	return top
-}
-
-// down sifts the entry at i toward the leaves until both children's next
-// uses are no later than its own.
-func (h optHeap) down(i int) {
-	n := len(h)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if child+1 < n && h[child+1].nextUse > h[child].nextUse {
-			child++
-		}
-		if h[i].nextUse >= h[child].nextUse {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
+// max returns the highest position in the set, which must not be empty.
+func (s *posSet) max() int {
+	p := 0
+	for l := s.n - 1; l >= 0; l-- {
+		p = p<<6 | (bits.Len64(s.levels[l][p]) - 1)
 	}
+	return p
 }

@@ -269,8 +269,8 @@ func TestLRUStackProperty(t *testing.T) {
 	}
 }
 
-// TestOPTBoundedHeapMatchesUnbounded: filtering the lazy heap leaves every
-// Result unchanged, against the unfiltered simulation kept below verbatim:
+// TestOPTBoundedHeapMatchesUnbounded: SimulateOPT returns every Result of
+// the lazy heap that kept all its stale entries, kept below verbatim, on
 // both E12 traces (matmul n = 48, naive and blocked at b = 8) at E12's
 // capacities and at 1, 65 and 6912 words, and seeded random traces at
 // every capacity up to one past their distinct words.
@@ -317,8 +317,8 @@ func TestOPTBoundedHeapMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// unboundedSimulateOPT is the parent's SimulateOPT, whose heap keeps every
-// stale entry, kept verbatim as the reference for
+// unboundedSimulateOPT is the SimulateOPT whose heap kept every stale
+// entry, kept verbatim as the reference for
 // TestOPTBoundedHeapMatchesUnbounded.
 func unboundedSimulateOPT(trace []Ref, capacity int) (Result, error) {
 	if err := validateCapacity(capacity); err != nil {

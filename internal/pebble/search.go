@@ -6,21 +6,50 @@ import (
 	"math/bits"
 )
 
-// MaxSearchStates bounds the exhaustive search's explored state count; the
-// search returns an error rather than consuming unbounded memory.
+// MaxSearchStates bounds the exhaustive search's stored state count; past
+// it the search returns a *StateCapError rather than consuming unbounded
+// memory.
 const MaxSearchStates = 8 << 20
 
+// StateCapError reports a search that stored more than States states
+// before it finished. Lower is the bound it had proved by then: no
+// pebbling costs fewer than Lower I/Os.
+type StateCapError struct {
+	States int
+	Lower  int
+}
+
+func (e *StateCapError) Error() string {
+	return fmt.Sprintf("pebble: search exceeded %d states; the optimum is at least %d", e.States, e.Lower)
+}
+
 // OptimalIO computes the exact minimum I/O cost of pebbling the DAG with at
-// most s red pebbles, by 0-1 breadth-first search over (red set, blue set)
-// states. Recomputation is allowed, exactly as in Hong and Kung's game.
-// Only DAGs with at most 32 vertices are supported, and practical sizes are
-// smaller; use it to validate strategies on tiny instances (E11).
+// most s red pebbles, by A* search over (red set, blue set) states.
+// Recomputation is allowed, exactly as in Hong and Kung's game. Only DAGs
+// with at most 32 vertices are supported, and practical sizes are smaller;
+// use it to validate strategies on tiny instances (E11). A search that
+// stores more than MaxSearchStates states stops with a *StateCapError that
+// carries the lower bound proved so far.
 //
 // The search normalizes schedules so that red pebbles are deleted lazily:
 // every transition is a placement (Input or Compute), optionally preceded by
 // one eviction when the budget is full, or an Output. This preserves
 // optimality because early deletion never enables anything.
-func OptimalIO(d *DAG, s int) (int, error) {
+//
+// States are expanded in order of f = g + h, where g is the I/O spent so
+// far and h = |goal \ blue| counts the outputs not yet blue: each needs its
+// own Output move, so h never overestimates. h is also consistent: Compute
+// costs 0 and leaves h alone, Input costs 1 and leaves h alone, and Output
+// costs 1 and lowers h by at most 1. So f never falls along a move and
+// rises by at most 1, and two slices serve as the priority queue, as in a
+// 0-1 breadth-first search on f: cur holds the bucket being expanded and
+// next the bucket f+1. Once a bucket is open every state of smaller f has
+// been expanded without reaching the goal, so f is a lower bound on the
+// optimum, and the first goal state popped is optimal.
+func OptimalIO(d *DAG, s int) (int, error) { return optimalIO(d, s, MaxSearchStates) }
+
+// optimalIO is OptimalIO with the state cap as a parameter.
+func optimalIO(d *DAG, s, maxStates int) (int, error) {
 	n := d.Len()
 	if n > 32 {
 		return 0, fmt.Errorf("pebble: exhaustive search supports ≤ 32 vertices, got %d", n)
@@ -46,6 +75,7 @@ func OptimalIO(d *DAG, s int) (int, error) {
 	for _, v := range d.Outputs() {
 		goal |= 1 << uint(v)
 	}
+	h := func(blue uint32) int32 { return int32(bits.OnesCount32(goal &^ blue)) }
 
 	// predMask[v] holds v's operands; it is 0 exactly for inputs.
 	predMask := make([]uint32, n)
@@ -55,21 +85,22 @@ func OptimalIO(d *DAG, s int) (int, error) {
 		}
 	}
 
+	// A queue entry is the bare 8-byte state; its g lives in dist. An
+	// entry whose g + h is no longer its bucket's f was superseded by a
+	// cheaper path to the same state and is skipped where it was queued.
 	type state struct{ red, blue uint32 }
 	start := state{0, blueInit}
 	dist := newDistTable()
 	dist.relax(key(start.red, start.blue), 0)
-	// 0-1 BFS one distance level at a time: cur holds the states queued
-	// at distance level, which zero-cost moves push to, and next those at
-	// level+1, which cost-1 moves push to. A state whose distance dropped
-	// after it was queued is skipped where it was queued.
 	var cur, next []state
-	level := 0
-	relax := func(st state, cost int) {
-		if !dist.relax(key(st.red, st.blue), int32(level+cost)) {
+	f := h(start.blue)
+	var g int32 // g of the state being expanded
+	relax := func(st state, cost int32) {
+		ng := g + cost
+		if !dist.relax(key(st.red, st.blue), ng) {
 			return
 		}
-		if cost == 0 {
+		if ng+h(st.blue) == f {
 			cur = append(cur, st)
 		} else {
 			next = append(next, st)
@@ -80,18 +111,19 @@ func OptimalIO(d *DAG, s int) (int, error) {
 	for len(cur) > 0 || len(next) > 0 {
 		if len(cur) == 0 {
 			cur, next = next, cur
-			level++
+			f++
 		}
 		st := cur[len(cur)-1]
 		cur = cur[:len(cur)-1]
-		if dist.get(key(st.red, st.blue)) != int32(level) {
+		g = dist.get(key(st.red, st.blue))
+		if g+h(st.blue) != f {
 			continue
 		}
 		if st.blue&goal == goal {
-			return level, nil
+			return int(f), nil
 		}
-		if dist.len > MaxSearchStates {
-			return 0, fmt.Errorf("pebble: search exceeded %d states", MaxSearchStates)
+		if dist.len > maxStates {
+			return 0, &StateCapError{States: maxStates, Lower: int(f)}
 		}
 
 		redCount := bits.OnesCount32(st.red)
@@ -108,7 +140,7 @@ func OptimalIO(d *DAG, s int) (int, error) {
 			if !computable && !inputtable {
 				continue
 			}
-			cost := 1 // Input
+			cost := int32(1) // Input
 			if computable {
 				cost = 0 // Compute is free; prefer it when legal
 			}

@@ -1,6 +1,7 @@
 package pebble
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -276,34 +277,18 @@ func randomDAG(rng *rand.Rand, n int) *DAG {
 	return newDAG(n, edges, outputs, nil)
 }
 
-// TestOptimalIOMatchesDequeSearch: the level-by-level search over its
-// open-addressed table returns the same optimum and the same error text as
-// the deque search over a map that it replaced, kept below verbatim, on
-// three seeded random DAGs of each size from 1 to 12 vertices and on every
-// builder's tiny instances, at every red pebble budget from 1 to n+1.
+// TestOptimalIOMatchesDequeSearch: OptimalIO returns the same optimum and
+// the same error text as the deque search over a map that the
+// level-by-level search replaced, kept below verbatim, on three seeded
+// random DAGs of each size from 1 to 12 vertices and on every builder's
+// tiny instances, at every red pebble budget from 1 to n+1.
 func TestOptimalIOMatchesDequeSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2212))
 	var dags []*DAG
 	for i := range 36 {
 		dags = append(dags, randomDAG(rng, 1+i%12))
 	}
-	for _, build := range []func() (*DAG, error){
-		func() (*DAG, error) { return FFTDAG(2) },
-		func() (*DAG, error) { return FFTDAG(4) },
-		func() (*DAG, error) { return MatMulDAG(1) },
-		func() (*DAG, error) { return Stencil1DDAG(3, 2) },
-		func() (*DAG, error) { return Stencil1DDAG(4, 1) },
-		func() (*DAG, error) { return Stencil2DDAG(3, 1) },
-		func() (*DAG, error) { return DiamondDAG(3) },
-		func() (*DAG, error) { return ChainDAG(8) },
-		func() (*DAG, error) { return BinaryTreeDAG(4) },
-	} {
-		d, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dags = append(dags, d)
-	}
+	dags = append(dags, tinyDAGs(t)...)
 	var solved, refused int
 	for _, d := range dags {
 		for s := 1; s <= d.Len()+1; s++ {
@@ -322,6 +307,223 @@ func TestOptimalIOMatchesDequeSearch(t *testing.T) {
 	if solved < 100 || refused < 10 {
 		t.Errorf("%d budgets solved and %d refused; the DAGs no longer cover both", solved, refused)
 	}
+}
+
+// tinyDAGs builds every builder's tiny instances, those of E11 among them.
+func tinyDAGs(t *testing.T) []*DAG {
+	t.Helper()
+	var dags []*DAG
+	for _, build := range []func() (*DAG, error){
+		func() (*DAG, error) { return FFTDAG(2) },
+		func() (*DAG, error) { return FFTDAG(4) },
+		func() (*DAG, error) { return MatMulDAG(1) },
+		func() (*DAG, error) { return Stencil1DDAG(3, 2) },
+		func() (*DAG, error) { return Stencil1DDAG(4, 1) },
+		func() (*DAG, error) { return Stencil2DDAG(3, 1) },
+		func() (*DAG, error) { return DiamondDAG(2) },
+		func() (*DAG, error) { return DiamondDAG(3) },
+		func() (*DAG, error) { return ChainDAG(8) },
+		func() (*DAG, error) { return BinaryTreeDAG(4) },
+	} {
+		d, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dags = append(dags, d)
+	}
+	return dags
+}
+
+// TestOptimalIOMatchesLevelSearch: the A* search returns the same optimum
+// and the same error text as the level-by-level 0-1 BFS it replaced, kept
+// below verbatim, on five seeded random DAGs of each size from 1 to 12
+// vertices and on every builder's tiny instances (E11's chain(8),
+// diamond(2), tree(4) and fft(4) among them), at every red pebble budget
+// from 1 to n.
+func TestOptimalIOMatchesLevelSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2701))
+	var dags []*DAG
+	for i := range 60 {
+		dags = append(dags, randomDAG(rng, 1+i%12))
+	}
+	dags = append(dags, tinyDAGs(t)...)
+	var solved, refused int
+	for _, d := range dags {
+		for s := 1; s <= d.Len(); s++ {
+			got, err := OptimalIO(d, s)
+			want, werr := levelOptimalIO(d, s)
+			if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("%d vertices, S=%d: (%d, %v), level search (%d, %v)", d.Len(), s, got, err, want, werr)
+			}
+			if err == nil {
+				solved++
+			} else {
+				refused++
+			}
+		}
+	}
+	if solved < 150 || refused < 10 {
+		t.Errorf("%d budgets solved and %d refused; the DAGs no longer cover both", solved, refused)
+	}
+}
+
+// TestOptimalIOStateCapBracket: a search stopped at its state cap reports
+// a lower bound that the optimum respects, the bound rises as the cap
+// does, and a cap high enough to pass a bucket proves more than the
+// outputs-only bound of the start state.
+func TestOptimalIOStateCapBracket(t *testing.T) {
+	d, err := FFTDAG(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const s = 4
+	opt, err := OptimalIO(d, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	for _, maxStates := range []int{0, 10, 100, 1000, 3000} {
+		_, err := optimalIO(d, s, maxStates)
+		var capped *StateCapError
+		if !errors.As(err, &capped) {
+			t.Fatalf("cap %d: error %v, want a *StateCapError", maxStates, err)
+		}
+		if capped.States != maxStates || capped.Lower > opt || capped.Lower < prev {
+			t.Fatalf("cap %d: %+v; optimum %d, previous bound %d", maxStates, *capped, opt, prev)
+		}
+		want := fmt.Sprintf("pebble: search exceeded %d states; the optimum is at least %d", maxStates, capped.Lower)
+		if err.Error() != want {
+			t.Errorf("cap %d: error %q, want %q", maxStates, err, want)
+		}
+		prev = capped.Lower
+	}
+	if outputs := len(d.Outputs()); prev <= outputs {
+		t.Errorf("largest cap proves only %d, no more than the %d outputs", prev, outputs)
+	}
+}
+
+// levelOptimalIO is the OptimalIO that ran a 0-1 BFS one distance level
+// at a time, kept verbatim as the reference for
+// TestOptimalIOMatchesLevelSearch.
+func levelOptimalIO(d *DAG, s int) (int, error) {
+	n := d.Len()
+	if n > 32 {
+		return 0, fmt.Errorf("pebble: exhaustive search supports ≤ 32 vertices, got %d", n)
+	}
+	if s < 1 {
+		return 0, fmt.Errorf("pebble: red pebble budget %d must be ≥ 1", s)
+	}
+	if need := d.MaxInDegree() + 1; s < need && len(d.Outputs()) > 0 {
+		// With fewer pebbles than an operation's operands + result, no
+		// non-input vertex can ever be computed.
+		for _, v := range d.Outputs() {
+			if !d.IsInput(v) {
+				return 0, fmt.Errorf("pebble: %d red pebbles cannot compute any vertex (need %d)", s, need)
+			}
+		}
+	}
+
+	var blueInit uint32
+	for _, v := range d.Inputs() {
+		blueInit |= 1 << uint(v)
+	}
+	var goal uint32
+	for _, v := range d.Outputs() {
+		goal |= 1 << uint(v)
+	}
+
+	// predMask[v] holds v's operands; it is 0 exactly for inputs.
+	predMask := make([]uint32, n)
+	for v := range n {
+		for _, p := range d.Preds(v) {
+			predMask[v] |= 1 << uint(p)
+		}
+	}
+
+	type state struct{ red, blue uint32 }
+	start := state{0, blueInit}
+	dist := newDistTable()
+	dist.relax(key(start.red, start.blue), 0)
+	// 0-1 BFS one distance level at a time: cur holds the states queued
+	// at distance level, which zero-cost moves push to, and next those at
+	// level+1, which cost-1 moves push to. A state whose distance dropped
+	// after it was queued is skipped where it was queued.
+	var cur, next []state
+	level := 0
+	relax := func(st state, cost int) {
+		if !dist.relax(key(st.red, st.blue), int32(level+cost)) {
+			return
+		}
+		if cost == 0 {
+			cur = append(cur, st)
+		} else {
+			next = append(next, st)
+		}
+	}
+
+	cur = append(cur, start)
+	for len(cur) > 0 || len(next) > 0 {
+		if len(cur) == 0 {
+			cur, next = next, cur
+			level++
+		}
+		st := cur[len(cur)-1]
+		cur = cur[:len(cur)-1]
+		if dist.get(key(st.red, st.blue)) != int32(level) {
+			continue
+		}
+		if st.blue&goal == goal {
+			return level, nil
+		}
+		if dist.len > MaxSearchStates {
+			return 0, fmt.Errorf("pebble: search exceeded %d states", MaxSearchStates)
+		}
+
+		redCount := bits.OnesCount32(st.red)
+
+		// Placements: every vertex not currently red that is either
+		// computable (all preds red) or inputtable (blue).
+		for v := 0; v < n; v++ {
+			bit := uint32(1) << uint(v)
+			if st.red&bit != 0 {
+				continue
+			}
+			computable := predMask[v] != 0 && st.red&predMask[v] == predMask[v]
+			inputtable := st.blue&bit != 0
+			if !computable && !inputtable {
+				continue
+			}
+			cost := 1 // Input
+			if computable {
+				cost = 0 // Compute is free; prefer it when legal
+			}
+			if redCount < s {
+				relax(state{st.red | bit, st.blue}, cost)
+			} else {
+				// Evict one red pebble first. When computing,
+				// the victim must not be one of v's operands.
+				var protected uint32
+				if computable {
+					protected = predMask[v]
+				}
+				for u := 0; u < n; u++ {
+					ubit := uint32(1) << uint(u)
+					if st.red&ubit == 0 || protected&ubit != 0 {
+						continue
+					}
+					relax(state{st.red&^ubit | bit, st.blue}, cost)
+				}
+			}
+		}
+		// Outputs: write any red, not-yet-blue vertex.
+		for v := 0; v < n; v++ {
+			bit := uint32(1) << uint(v)
+			if st.red&bit != 0 && st.blue&bit == 0 {
+				relax(state{st.red, st.blue | bit}, 1)
+			}
+		}
+	}
+	return 0, fmt.Errorf("pebble: no pebbling with %d red pebbles reaches all outputs", s)
 }
 
 // dequeOptimalIO is the parent's OptimalIO, whose deque prepends on every
