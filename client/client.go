@@ -18,11 +18,12 @@
 //
 // The zero-configuration client reuses connections aggressively (a shared
 // keep-alive transport sized for many concurrent workers — the load
-// generator in internal/loadgen runs on this client). WithRetry opts into
-// bounded retry of overload responses (503) and transport errors; every API
-// operation is a pure computation, so retries are always safe. For tests
-// and embedders, NewFromHandler binds the client directly to an
-// http.Handler — typically balarch.NewServerHandler — with no socket.
+// generator in internal/loadgen runs on this client). WithRetryPolicy
+// opts into bounded retry of overload responses (503) and transport
+// errors; every API operation is a pure computation, so retries are
+// always safe. For tests and embedders, NewFromHandler binds the client
+// directly to an http.Handler — typically balarch.NewServerHandler — with
+// no socket.
 package client
 
 import (
@@ -110,9 +111,8 @@ type (
 	// JobDeleteResponse is the DELETE /v1/jobs/{id} body.
 	JobDeleteResponse = server.JobDeleteResponse
 	// JobProgress is the data payload of a job stream's "progress" SSE
-	// event: one engine pool completion inside the running job. Its Key
-	// and Cached fields are always empty.
-	JobProgress = server.JobProgressDTO
+	// event: one engine pool completion inside the running job.
+	JobProgress = server.ProgressDTO
 	// APIIndexResponse is the GET /v1/ body: the API surface as data —
 	// routes, error codes, computation ids, experiment ids.
 	APIIndexResponse = server.APIIndexResponse
@@ -203,14 +203,6 @@ type RetryPolicy struct {
 // retrying is always safe.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = p }
-}
-
-// WithRetry enables bounded retry with an uncapped linear schedule.
-//
-// Deprecated: use WithRetryPolicy, which adds MaxBackoff. WithRetry(a, b)
-// is exactly WithRetryPolicy(RetryPolicy{Attempts: a, Backoff: b}).
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return WithRetryPolicy(RetryPolicy{Attempts: attempts, Backoff: backoff})
 }
 
 // WithAPIKey attaches a tenant API key to every request the client
@@ -419,7 +411,7 @@ func (c *Client) do(ctx context.Context, apiKey, method, path string, body []byt
 		method, path, attempts, lastErr)
 }
 
-// retriableStatus lists the responses WithRetry reissues: overload (503),
+// retriableStatus lists the responses WithRetryPolicy reissues: overload (503),
 // admission refusal (429), and a gateway's upstream failure (502 — the
 // node died mid-proxy; the gateway has already ejected it, so the retry
 // lands on a surviving node). All three mean "later", not "never".
@@ -651,7 +643,7 @@ func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 // or any past one sharing the store directory — comes back "done" (200)
 // immediately, deduplicated against the content-addressed store. A 429
 // admission refusal surfaces as *APIError (code "over_budget"); with
-// WithRetry the client resleeps per the server's Retry-After first.
+// WithRetryPolicy the client resleeps per the server's Retry-After first.
 func (c *Client) SubmitJob(ctx context.Context, req *JobSubmitRequest) (*JobStatus, error) {
 	body, err := json.Marshal(req)
 	if err != nil {

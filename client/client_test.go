@@ -178,7 +178,7 @@ func TestRetryOn503(t *testing.T) {
 		}
 		w.Write([]byte(`{"status":"ok","uptime_seconds":1,"experiments":16}`))
 	})
-	c := client.NewFromHandler(h, client.WithRetry(3, time.Millisecond))
+	c := client.NewFromHandler(h, client.WithRetryPolicy(client.RetryPolicy{Attempts: 3, Backoff: time.Millisecond}))
 	if _, err := c.Health(context.Background()); err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestRetryOn503(t *testing.T) {
 	}
 }
 
-// TestNoRetryByDefault: without WithRetry a 503 surfaces immediately as an
+// TestNoRetryByDefault: without WithRetryPolicy a 503 surfaces immediately as an
 // APIError.
 func TestNoRetryByDefault(t *testing.T) {
 	var calls atomic.Int64
@@ -212,7 +212,7 @@ func TestRetryRespectsContext(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	})
-	c := client.NewFromHandler(h, client.WithRetry(100, time.Hour))
+	c := client.NewFromHandler(h, client.WithRetryPolicy(client.RetryPolicy{Attempts: 100, Backoff: time.Hour}))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()

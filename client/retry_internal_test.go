@@ -42,7 +42,7 @@ func TestRetryScheduleHonorsRetryAfter(t *testing.T) {
 		}
 	})
 	backoff := 10 * time.Millisecond
-	c := NewFromHandler(h, WithRetry(4, backoff))
+	c := NewFromHandler(h, WithRetryPolicy(RetryPolicy{Attempts: 4, Backoff: backoff}))
 	if _, err := c.Health(context.Background()); err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestRetryAfterBelowScheduleIgnored(t *testing.T) {
 		}
 		w.Write([]byte(`{"status":"ok","uptime_seconds":1,"experiments":16}`))
 	})
-	c := NewFromHandler(h, WithRetry(3, time.Second))
+	c := NewFromHandler(h, WithRetryPolicy(RetryPolicy{Attempts: 3, Backoff: time.Second}))
 	if _, err := c.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -82,11 +82,3 @@ func TestRetryPolicyMaxBackoffClips(t *testing.T) {
 		}
 	}
 }
-
-func TestWithRetryIsPolicySugar(t *testing.T) {
-	var c Client
-	WithRetry(5, time.Second)(&c)
-	if c.retry.Attempts != 5 || c.retry.Backoff != time.Second || c.retry.MaxBackoff != 0 {
-		t.Fatalf("WithRetry installed %+v", c.retry)
-	}
-}

@@ -2,10 +2,13 @@
 // freshly started balarchd. It performs the checks the old curl pipeline
 // performed — health, readiness, the paper's §1 analyze example, a
 // cold-then-cached sweep, the typed error envelope, the X-Request-ID and
-// trace-id echoes — but through the public client SDK, so the smoke test
-// exercises the same code path SDK users run instead of hand-rolled shell
-// JSON matching. The client is built with tracing on, so every check also
-// exercises W3C traceparent propagation through the middleware chain.
+// trace-id echoes — plus a mixed /v1/batch and a sweep job checked
+// byte-for-byte against the sync answer, so the daemon must run with a
+// store directory. It works through the public client SDK, so the smoke
+// test exercises the same code path SDK users run instead of hand-rolled
+// shell JSON matching. The client is built with tracing on, so every
+// check also exercises W3C traceparent propagation through the middleware
+// chain.
 //
 // Usage:
 //
@@ -16,7 +19,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,6 +31,7 @@ import (
 	"time"
 
 	"balarch/client"
+	"balarch/internal/server"
 )
 
 func main() {
@@ -258,5 +264,66 @@ func smoke(ctx context.Context, c *client.Client, wait time.Duration, stderr io.
 		return errors.New("trace=1 response missing Server-Timing")
 	}
 	fmt.Fprintln(stderr, "clientsmoke: trace echo ok")
+
+	// 12. Batch: an analyze item and a sweep item in one request, each
+	// answered as its standalone endpoint answers.
+	br, err := c.Batch(ctx, &client.BatchRequest{Requests: []client.BatchItem{
+		{Op: "analyze", Request: json.RawMessage(`{"pe": {"c": 50e6, "io": 1e6, "m": 4096}, "computation": {"name": "fft"}}`)},
+		{Op: "sweep", Request: json.RawMessage(`{"kernel": "matmul", "n": 64, "params": [4, 8]}`)},
+	}})
+	if err != nil {
+		return fmt.Errorf("batch: %w", err)
+	}
+	if len(br.Results) != 2 || br.Results[0].Status != http.StatusOK || br.Results[1].Status != http.StatusOK {
+		return fmt.Errorf("batch = %+v, want two 200 items", br.Results)
+	}
+	var ba client.AnalyzeResponse
+	if err := json.Unmarshal(br.Results[0].Body, &ba); err != nil || ba.BalancedMemory != a.BalancedMemory {
+		return fmt.Errorf("batched analyze = %s (%v), want balanced at %v", br.Results[0].Body, err, a.BalancedMemory)
+	}
+	fmt.Fprintln(stderr, "clientsmoke: batch ok")
+
+	// 13. A sweep job's stored result is byte-identical to the sync
+	// /v1/sweep body. The job runs on the node its id routes to, the sync
+	// sweep on the node its memo key routes to (one and the same without
+	// a gateway): the result reports "cached" exactly when the two sync
+	// calls warmed the job's node.
+	sweep := []byte(`{"kernel": "fft", "n": 1024, "params": [4, 16]}`)
+	var sync [2]*client.Response
+	for i := range sync {
+		if sync[i], err = c.Do(ctx, http.MethodPost, "/v1/sweep", sweep); err != nil {
+			return fmt.Errorf("sync sweep: %w", err)
+		}
+		if sync[i].Status != http.StatusOK {
+			return fmt.Errorf("sync sweep: %w", client.DecodeAPIError(sync[i]))
+		}
+	}
+	raw, err = c.Do(ctx, http.MethodPost, "/v1/jobs", []byte(`{"op": "sweep", "request": `+string(sweep)+`}`))
+	if err != nil {
+		return fmt.Errorf("sweep job submit: %w", err)
+	}
+	var job client.JobStatus
+	if raw.Status != http.StatusAccepted && raw.Status != http.StatusOK {
+		return fmt.Errorf("sweep job submit: %w", client.DecodeAPIError(raw))
+	}
+	if err := json.Unmarshal(raw.Body, &job); err != nil {
+		return fmt.Errorf("sweep job submit: %w", err)
+	}
+	done, err := c.WaitForJob(ctx, job.ID, 0)
+	if err != nil || done.State != "done" {
+		return fmt.Errorf("sweep job %s = %+v (%v), want done", job.ID, done, err)
+	}
+	result, err := c.JobResult(ctx, job.ID)
+	if err != nil {
+		return fmt.Errorf("sweep job result: %w", err)
+	}
+	want := sync[0].Body
+	if raw.Header.Get(server.NodeHeader) == sync[0].Header.Get(server.NodeHeader) {
+		want = sync[1].Body
+	}
+	if !bytes.Equal(result, want) {
+		return fmt.Errorf("sweep job result differs from the sync body\njob:  %s\nsync: %s", result, want)
+	}
+	fmt.Fprintln(stderr, "clientsmoke: sweep job ok")
 	return nil
 }

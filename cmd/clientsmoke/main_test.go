@@ -14,9 +14,26 @@ import (
 	"balarch/internal/cluster"
 )
 
+// newNode starts one jobs-enabled server, drained and closed on test
+// cleanup.
+func newNode(t *testing.T, nodeID string) *httptest.Server {
+	t.Helper()
+	s := balarch.NewServer(balarch.ServerOptions{Parallelism: 2, NodeID: nodeID, StoreDir: t.TempDir()})
+	if err := s.JobsErr(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	return srv
+}
+
 func TestSmokeAgainstRealHandler(t *testing.T) {
-	srv := httptest.NewServer(balarch.NewServerHandler(balarch.ServerOptions{Parallelism: 2}))
-	defer srv.Close()
+	srv := newNode(t, "")
 	var errb bytes.Buffer
 	if code := run(context.Background(), []string{"-url", srv.URL}, &errb); code != 0 {
 		t.Fatalf("exit %d\n%s", code, errb.String())
@@ -28,13 +45,11 @@ func TestSmokeAgainstRealHandler(t *testing.T) {
 
 // TestSmokeAgainstGateway runs the identical check sequence against a
 // two-node cluster behind a gateway: health, the merged GET /v1/ index,
-// tracing, the sweep memo (ring-pinned to one owner), all of it. The
-// gateway is a drop-in balarchd to an SDK client, and this is the gate.
+// tracing, the sweep memo (ring-pinned to one owner), batch scatter, job-id
+// routing, all of it. The gateway is a drop-in balarchd to an SDK client,
+// and this is the gate.
 func TestSmokeAgainstGateway(t *testing.T) {
-	n1 := httptest.NewServer(balarch.NewServerHandler(balarch.ServerOptions{Parallelism: 2, NodeID: "n1"}))
-	defer n1.Close()
-	n2 := httptest.NewServer(balarch.NewServerHandler(balarch.ServerOptions{Parallelism: 2, NodeID: "n2"}))
-	defer n2.Close()
+	n1, n2 := newNode(t, "n1"), newNode(t, "n2")
 	gw, err := cluster.New(cluster.Options{Nodes: []string{n1.URL, n2.URL}, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)

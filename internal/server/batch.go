@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -15,12 +14,8 @@ import (
 // it would have received as a standalone request, so one invalid item
 // yields one 4xx entry instead of failing the batch.
 func (s *Server) batch(ctx context.Context, req *BatchRequest) (*BatchResponse, *apiError) {
-	if len(req.Requests) == 0 {
-		return nil, unprocessable("invalid_argument", "requests must list at least one item")
-	}
-	if len(req.Requests) > s.opts.MaxBatch {
-		return nil, unprocessable("batch_too_large",
-			"batch of %d exceeds the limit of %d", len(req.Requests), s.opts.MaxBatch)
+	if apiErr := s.checkBatchSize(req); apiErr != nil {
+		return nil, apiErr
 	}
 	jobs := make([]engine.Job[BatchResult], len(req.Requests))
 	for i, item := range req.Requests {
@@ -42,30 +37,36 @@ func (s *Server) batch(ctx context.Context, req *BatchRequest) (*BatchResponse, 
 	return &BatchResponse{Results: results}, nil
 }
 
-// batchItem executes one sub-request through the same core operations the
-// standalone handlers use.
+// checkBatchSize enforces the item-count bounds a batch request and a
+// batch job share.
+func (s *Server) checkBatchSize(req *BatchRequest) *apiError {
+	if len(req.Requests) == 0 {
+		return unprocessable("invalid_argument", "requests must list at least one item")
+	}
+	if len(req.Requests) > s.opts.MaxBatch {
+		return unprocessable("batch_too_large",
+			"batch of %d exceeds the limit of %d", len(req.Requests), s.opts.MaxBatch)
+	}
+	return nil
+}
+
+// batchItem executes one sub-request through its op row: the core the
+// standalone handler uses.
 func (s *Server) batchItem(ctx context.Context, item BatchItem) BatchResult {
 	res := BatchResult{Op: item.Op}
 	var (
 		body any
 		err  *apiError
 	)
-	switch item.Op {
-	case "analyze":
-		body, err = decodeAndRun(ctx, item.Request, s.analyze)
-	case "rebalance":
-		body, err = decodeAndRun(ctx, item.Request, s.rebalance)
-	case "roofline":
-		body, err = decodeAndRun(ctx, item.Request, s.roofline)
-	case "sweep":
-		body, err = decodeAndRun(ctx, item.Request, s.runSweep)
-	case "experiment":
-		body, err = decodeAndRun(ctx, item.Request, s.experimentOp)
-	case "":
+	switch o := findOp(batchItemOps, item.Op); {
+	case item.Op == "":
 		err = badRequest("invalid_argument", "batch item is missing op")
+	case o == nil:
+		err = badRequest("unknown_op", "unknown batch op %q (one of %s)", item.Op, opNames(batchItemOps))
+	case len(item.Request) == 0:
+		err = badRequest("bad_json", "batch item has no request body")
 	default:
-		err = badRequest("unknown_op",
-			"unknown batch op %q (one of analyze, rebalance, roofline, sweep, experiment)", item.Op)
+		body, err = o.call(s, ctx, item.Request)
 	}
 	if err != nil {
 		res.Status = err.Status
@@ -103,21 +104,4 @@ func (s *Server) experimentOp(ctx context.Context, ref *ExperimentRef) (*Experim
 		return nil, internalError(err)
 	}
 	return &ExperimentRunResponse{Pass: res.Pass(), Result: data}, nil
-}
-
-// decodeAndRun strict-decodes a batch item's request body and runs the
-// core operation, mirroring jsonHandler for the in-process path.
-func decodeAndRun[Req any, Resp any](ctx context.Context, raw json.RawMessage, core func(context.Context, *Req) (Resp, *apiError)) (any, *apiError) {
-	var req Req
-	if len(raw) == 0 {
-		return nil, badRequest("bad_json", "batch item has no request body")
-	}
-	if apiErr := strictDecodeJSON(bytes.NewReader(raw), &req); apiErr != nil {
-		return nil, apiErr
-	}
-	resp, apiErr := core(ctx, &req)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	return resp, nil
 }

@@ -13,7 +13,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -161,17 +160,13 @@ func (b *eventBus) subscriberCount(topic string) int {
 
 // --- wire shapes ---
 
-// JobProgressDTO is the data payload of a job stream's "progress" event:
-// one engine pool completion inside the running job. Key and Cached are
-// always empty (so omitted on the wire): pool jobs carry neither a name
-// nor a cache of their own. They stay because client.JobProgress aliases
-// this type.
-type JobProgressDTO struct {
-	ID     string `json:"id"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
-	Key    string `json:"key,omitempty"`
-	Cached bool   `json:"cached,omitempty"`
+// ProgressDTO is the data payload of a "progress" event on a job or an
+// experiment stream: one engine pool completion inside the running job or
+// experiment, which the event's ID names.
+type ProgressDTO struct {
+	ID    string `json:"id"`
+	Done  int    `json:"done"`
+	Total int    `json:"total"`
 }
 
 // StreamDropDTO is the data payload of the terminal "dropped" event: why
@@ -179,17 +174,6 @@ type JobProgressDTO struct {
 // "shutting_down"). Reconnect (or fall back to polling) on receipt.
 type StreamDropDTO struct {
 	Reason string `json:"reason"`
-}
-
-// ExperimentProgressDTO is the data payload of an experiment stream's
-// "progress" event. Key and Cached are always empty (so omitted on the
-// wire), as in JobProgressDTO.
-type ExperimentProgressDTO struct {
-	ID     string `json:"id"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
-	Key    string `json:"key,omitempty"`
-	Cached bool   `json:"cached,omitempty"`
 }
 
 // Event names on the SSE streams. A job stream is state* progress* done;
@@ -202,16 +186,6 @@ const (
 	eventError    = "error"
 	eventDropped  = "dropped"
 )
-
-// mustEventData marshals an event payload; the payloads are plain
-// structs, so failure is a programming error.
-func mustEventData(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return data
-}
 
 // jobTopic names the bus topic for one job id.
 func jobTopic(id string) string { return "job:" + id }
@@ -226,14 +200,14 @@ func (s *Server) publishJobTransition(j jobs.Job) {
 	if terminal {
 		name = eventDone
 	}
-	s.events.publish(jobTopic(j.ID), busEvent{name: name, data: mustEventData(dto)}, terminal)
+	s.events.publish(jobTopic(j.ID), busEvent{name: name, data: mustMarshal(dto)}, terminal)
 }
 
 // jobProgressContext hooks the executor's context so the engine pools
 // under a running job report per-point progress onto the job's topic.
 func (s *Server) jobProgressContext(ctx context.Context, id string) context.Context {
 	return engine.WithProgress(ctx, func(ev engine.Event) {
-		s.events.publish(jobTopic(id), busEvent{name: eventProgress, data: mustEventData(JobProgressDTO{
+		s.events.publish(jobTopic(id), busEvent{name: eventProgress, data: mustMarshal(ProgressDTO{
 			ID: id, Done: ev.Done, Total: ev.Total,
 		})}, false)
 	})
@@ -349,10 +323,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if j.State.Terminal() {
 		s.events.unsubscribe(jobTopic(id), sub)
-		sw.event(eventDone, mustEventData(jobStatusDTO(j)))
+		sw.event(eventDone, mustMarshal(jobStatusDTO(j)))
 		return
 	}
-	sw.event(eventState, mustEventData(jobStatusDTO(j)))
+	sw.event(eventState, mustMarshal(jobStatusDTO(j)))
 
 	ticker := time.NewTicker(s.heartbeat())
 	defer ticker.Stop()
@@ -365,7 +339,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		case ev, open := <-sub.ch:
 			if !open {
 				if sub.reason != "" {
-					sw.event(eventDropped, mustEventData(StreamDropDTO{Reason: sub.reason}))
+					sw.event(eventDropped, mustMarshal(StreamDropDTO{Reason: sub.reason}))
 				}
 				return
 			}
@@ -406,19 +380,19 @@ func (s *Server) streamExperiment(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	ctx := engine.WithProgress(r.Context(), func(ev engine.Event) {
-		sw.event(eventProgress, mustEventData(ExperimentProgressDTO{
+		sw.event(eventProgress, mustMarshal(ProgressDTO{
 			ID: id, Done: ev.Done, Total: ev.Total,
 		}))
 	})
 	res, apiErr := s.runExperiment(ctx, id)
 	if apiErr != nil {
-		sw.event(eventError, mustEventData(errorEnvelope{Error: apiErr.Body}))
+		sw.event(eventError, mustMarshal(errorEnvelope{Error: apiErr.Body}))
 		return
 	}
 	data, err := res.JSON()
 	if err != nil {
-		sw.event(eventError, mustEventData(errorEnvelope{Error: internalError(err).Body}))
+		sw.event(eventError, mustMarshal(errorEnvelope{Error: internalError(err).Body}))
 		return
 	}
-	sw.event(eventDone, mustEventData(ExperimentRunResponse{Pass: res.Pass(), Result: data}))
+	sw.event(eventDone, mustMarshal(ExperimentRunResponse{Pass: res.Pass(), Result: data}))
 }

@@ -272,7 +272,9 @@ var fuzzJobsAllowedStatus = map[int]bool{
 
 // FuzzJobSubmit holds the envelope invariant on POST /v1/jobs: any bytes
 // draw a 2xx with valid JSON or a typed error envelope — never a panic,
-// never a 500 — and a 429 always carries Retry-After.
+// never a 500 — and a 429 always carries Retry-After. Every admitted body
+// also holds the gateway's job-affinity invariant: RouteIDForJob predicts
+// the id the submit assigned.
 func FuzzJobSubmit(f *testing.F) {
 	for _, seed := range []string{
 		`{"op": "sweep", "request": {"kernel": "matmul", "n": 64, "params": [4, 8]}}`,
@@ -285,6 +287,9 @@ func FuzzJobSubmit(f *testing.F) {
 		`{"op": "batch", "request": {"requests": [{"op": "batch", "request": {"requests": []}}]}}`,
 		`{"op": "", "request": {}}`,
 		`{"op": "sweep"}`,
+		`{"op": "analyze", "request": {"pe": {"c": -1, "io": 1, "m": 1}, "computation": {"name": "fft"}}}`,
+		`{"op": "rebalance", "request": {"computation": {"name": "matmul"}, "alpha": 0.5, "m_old": 1024}}`,
+		`{"op": "roofline", "request": {"pe": {"c": 1e6, "io": 1e6, "m": 64}, "computations": [{"name": "grid"}], "mem_lo": 64, "mem_hi": 4096, "step": 1.0000001}}`,
 		`{`,
 		``,
 		`null`,
@@ -307,8 +312,13 @@ func FuzzJobSubmit(f *testing.F) {
 			t.Fatalf("/v1/jobs: 429 without Retry-After")
 		}
 		if status == http.StatusOK || status == http.StatusAccepted {
-			if !json.Valid(rr.Body.Bytes()) {
+			var dto JobStatusDTO
+			if err := json.Unmarshal(rr.Body.Bytes(), &dto); err != nil {
 				t.Fatalf("/v1/jobs: %d with invalid JSON body: %.200s", status, rr.Body.Bytes())
+			}
+			if id, ok := RouteIDForJob(body); !ok || id != dto.ID {
+				t.Fatalf("/v1/jobs: RouteIDForJob = %q, %v; the submit assigned %q\nbody in: %q",
+					id, ok, dto.ID, body)
 			}
 			return
 		}

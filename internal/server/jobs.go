@@ -9,11 +9,10 @@ package server
 // returns the byte-identical body the synchronous endpoint would have
 // written, DELETE /v1/jobs/{id} cancels a live job or forgets a terminal
 // one. Admission is memory-aware: every job carries an estimated
-// footprint (see estimateJobCost), and a submit that would push the live
-// sum past the budget is 429 with Retry-After.
+// footprint (priced by its op row's check, ops.go), and a submit that
+// would push the live sum past the budget is 429 with Retry-After.
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -25,12 +24,8 @@ import (
 	"strings"
 	"time"
 
-	"balarch/internal/experiments"
 	"balarch/internal/jobs"
 )
-
-// jobOps lists the operations POST /v1/jobs accepts, for error messages.
-const jobOpsList = "analyze, rebalance, roofline, sweep, experiment, batch"
 
 // JobSubmitRequest is the POST /v1/jobs body: the batch-item envelope,
 // executed asynchronously.
@@ -127,176 +122,6 @@ func (s *Server) jobsQueue() (*jobs.Queue, *apiError) {
 		"async jobs are not enabled on this server (start it with a store directory, e.g. balarchd -store-dir)")
 }
 
-// prepareJob validates a job envelope and returns the canonical request
-// bytes (the decoded DTO re-marshaled, so equal requests have equal
-// bytes whatever their whitespace or field order) plus the admission
-// footprint estimate. Validation happens here, synchronously: a request
-// the synchronous endpoint would reject with 4xx is rejected at submit,
-// not accepted and failed later.
-func (s *Server) prepareJob(op string, raw json.RawMessage) (canonical []byte, cost int64, apiErr *apiError) {
-	if len(raw) == 0 {
-		return nil, 0, badRequest("bad_json", "job has no request body")
-	}
-	switch op {
-	case "analyze":
-		req, apiErr := decodeJobDTO[AnalyzeRequest](raw)
-		if apiErr != nil {
-			return nil, 0, apiErr
-		}
-		if _, apiErr := resolveComputation(req.Computation); apiErr != nil {
-			return nil, 0, apiErr
-		}
-		return mustCanonical(req), jobBaseCost, nil
-	case "rebalance":
-		req, apiErr := decodeJobDTO[RebalanceRequest](raw)
-		if apiErr != nil {
-			return nil, 0, apiErr
-		}
-		if _, apiErr := resolveComputation(req.Computation); apiErr != nil {
-			return nil, 0, apiErr
-		}
-		return mustCanonical(req), jobBaseCost, nil
-	case "roofline":
-		req, apiErr := decodeJobDTO[RooflineRequest](raw)
-		if apiErr != nil {
-			return nil, 0, apiErr
-		}
-		if len(req.Computations) == 0 {
-			return nil, 0, unprocessable("invalid_argument", "computations must list at least one entry")
-		}
-		for _, dto := range req.Computations {
-			if _, apiErr := resolveComputation(dto); apiErr != nil {
-				return nil, 0, apiErr
-			}
-		}
-		return mustCanonical(req), jobBaseCost, nil
-	case "sweep":
-		req, apiErr := decodeJobDTO[SweepRequest](raw)
-		if apiErr != nil {
-			return nil, 0, apiErr
-		}
-		if _, apiErr := validateSweep(req); apiErr != nil {
-			return nil, 0, apiErr
-		}
-		return mustCanonical(req), estimateSweepCost(req), nil
-	case "experiment":
-		req, apiErr := decodeJobDTO[ExperimentRef](raw)
-		if apiErr != nil {
-			return nil, 0, apiErr
-		}
-		if _, err := experiments.Get(req.ID); err != nil {
-			return nil, 0, notFound("unknown_experiment", "%v", err)
-		}
-		return mustCanonical(req), experimentJobCost, nil
-	case "batch":
-		req, apiErr := decodeJobDTO[BatchRequest](raw)
-		if apiErr != nil {
-			return nil, 0, apiErr
-		}
-		if len(req.Requests) == 0 {
-			return nil, 0, unprocessable("invalid_argument", "requests must list at least one item")
-		}
-		if len(req.Requests) > s.opts.MaxBatch {
-			return nil, 0, unprocessable("batch_too_large",
-				"batch of %d exceeds the limit of %d", len(req.Requests), s.opts.MaxBatch)
-		}
-		cost := int64(0)
-		for i, item := range req.Requests {
-			if item.Op == "batch" {
-				return nil, 0, unprocessable("invalid_argument",
-					"batch item %d: batches do not nest", i)
-			}
-			_, c, apiErr := s.prepareJob(item.Op, item.Request)
-			if apiErr != nil {
-				// A batch *job* is admitted whole or not at all —
-				// unlike the synchronous endpoint's per-item envelopes,
-				// there is no caller waiting to read partial failures.
-				return nil, 0, unprocessable("invalid_argument",
-					"batch item %d (%s): %s", i, item.Op, apiErr.Body.Message)
-			}
-			cost += c
-		}
-		return mustCanonical(req), cost, nil
-	case "":
-		return nil, 0, badRequest("invalid_argument", "job is missing op (one of %s)", jobOpsList)
-	default:
-		return nil, 0, badRequest("unknown_op", "unknown job op %q (one of %s)", op, jobOpsList)
-	}
-}
-
-// decodeJobDTO strict-decodes a job request body into its DTO.
-func decodeJobDTO[T any](raw json.RawMessage) (*T, *apiError) {
-	v := new(T)
-	if apiErr := strictDecodeJSON(bytes.NewReader(raw), v); apiErr != nil {
-		return nil, apiErr
-	}
-	return v, nil
-}
-
-// mustCanonical re-marshals a decoded DTO; the DTOs are plain data, so
-// failure is a programming error (and would have failed the decode).
-func mustCanonical(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return data
-}
-
-// Admission-control footprint model (documented in DESIGN.md §6): every
-// job holds at least the base (DTO, response buffer, bookkeeping); the
-// kernels that materialize data add their working set — the sort kernel
-// sorts m² eight-byte keys per point, the grid kernel relaxes size^dim
-// eight-byte cells, the counting kernels touch O(n) words; an experiment
-// is a bundle of sweeps, budgeted flat.
-const (
-	jobBaseCost       = 64 << 10
-	experimentJobCost = 16 << 20
-	wordBytes         = 8
-)
-
-// estimateSweepCost applies the model to one (validated) sweep request.
-func estimateSweepCost(req *SweepRequest) int64 {
-	cost := int64(jobBaseCost)
-	switch req.Kernel {
-	case "sort":
-		for _, m := range req.Params {
-			cost += int64(m) * int64(m) * wordBytes
-		}
-	case "grid":
-		cells := int64(1)
-		for d := 0; d < req.Dim; d++ {
-			cells *= int64(req.Size)
-		}
-		cost += cells * wordBytes
-	default:
-		cost += int64(req.N) * wordBytes
-	}
-	return cost
-}
-
-// runJobOp executes one job op through the same cores the synchronous
-// endpoints and /v1/batch use, so an async result can never drift from
-// the synchronous answer.
-func (s *Server) runJobOp(ctx context.Context, op string, raw json.RawMessage) (any, *apiError) {
-	switch op {
-	case "analyze":
-		return decodeAndRun(ctx, raw, s.analyze)
-	case "rebalance":
-		return decodeAndRun(ctx, raw, s.rebalance)
-	case "roofline":
-		return decodeAndRun(ctx, raw, s.roofline)
-	case "sweep":
-		return decodeAndRun(ctx, raw, s.runSweep)
-	case "experiment":
-		return decodeAndRun(ctx, raw, s.experimentOp)
-	case "batch":
-		return decodeAndRun(ctx, raw, s.batch)
-	default:
-		return nil, badRequest("unknown_op", "unknown job op %q", op)
-	}
-}
-
 // jobExecutor adapts the server cores to the queue's Exec signature. The
 // returned bytes use the exact encoding writeJSON puts on the wire, so a
 // stored result is byte-identical to the synchronous endpoint's
@@ -308,7 +133,11 @@ func (s *Server) jobExecutor() jobs.Exec {
 		// job's SSE topic without widening the Exec signature.
 		id, _ := jobs.IDFor(kind, req)
 		ctx = s.jobProgressContext(ctx, id)
-		body, apiErr := s.runJobOp(s.sweepContext(ctx), kind, req)
+		o := findOp(opTable, kind)
+		if o == nil {
+			return nil, badRequest("unknown_op", "unknown job op %q", kind)
+		}
+		body, apiErr := o.call(s, s.sweepContext(ctx), req)
 		if apiErr != nil {
 			return nil, apiErr
 		}
@@ -330,7 +159,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	canonical, cost, apiErr := s.prepareJob(req.Op, req.Request)
+	opReq, cost, apiErr := s.admitOp(r.Context(), req.Op, req.Request)
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
@@ -345,7 +174,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if tn := tenantFrom(r.Context()); tn != nil {
 		tenantName = tn.name
 	}
-	j, _, err := q.SubmitFor(tenantName, req.Op, canonical, cost, prio)
+	j, _, err := q.SubmitFor(tenantName, req.Op, mustMarshal(opReq), cost, prio)
 	if err != nil {
 		var over *jobs.ErrOverBudget
 		if errors.As(err, &over) && over.Tenant != "" {

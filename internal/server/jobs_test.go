@@ -184,6 +184,9 @@ func TestJobDedupNoReExecution(t *testing.T) {
 	}
 }
 
+// TestJobSubmitValidation: a job the synchronous endpoint would refuse is
+// refused at submit with that endpoint's status and code, and nothing is
+// journaled. Where msg is set, the message is pinned too.
 func TestJobSubmitValidation(t *testing.T) {
 	srv := newJobsServer(t, Options{})
 	h := srv.Handler()
@@ -191,18 +194,25 @@ func TestJobSubmitValidation(t *testing.T) {
 		body string
 		want int
 		code string
+		msg  string
 	}{
-		"missing op":         {`{"request": {}}`, 400, "invalid_argument"},
-		"unknown op":         {`{"op": "explode", "request": {}}`, 400, "unknown_op"},
-		"no request":         {`{"op": "sweep"}`, 400, "bad_json"},
-		"malformed":          {`{`, 400, "bad_json"},
-		"invalid sweep":      {`{"op": "sweep", "request": {"kernel": "matmul", "n": -1, "params": [4]}}`, 422, "invalid_argument"},
-		"unknown kernel":     {`{"op": "sweep", "request": {"kernel": "nope", "n": 64, "params": [4]}}`, 422, "unknown_kernel"},
-		"unknown experiment": {`{"op": "experiment", "request": {"id": "E99"}}`, 404, "unknown_experiment"},
-		"bad computation":    {`{"op": "analyze", "request": {"pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "nope"}}}`, 422, "unknown_computation"},
-		"nested batch":       {`{"op": "batch", "request": {"requests": [{"op": "batch", "request": {"requests": []}}]}}`, 422, "invalid_argument"},
-		"empty batch":        {`{"op": "batch", "request": {"requests": []}}`, 422, "invalid_argument"},
-		"bad batch item":     {`{"op": "batch", "request": {"requests": [{"op": "analyze", "request": {"computation": {"name": "zzz"}}}]}}`, 422, "invalid_argument"},
+		"missing op":         {`{"request": {}}`, 400, "invalid_argument", "job is missing op (one of analyze, rebalance, roofline, sweep, experiment, batch)"},
+		"unknown op":         {`{"op": "explode", "request": {}}`, 400, "unknown_op", `unknown job op "explode" (one of analyze, rebalance, roofline, sweep, experiment, batch)`},
+		"no request":         {`{"op": "sweep"}`, 400, "bad_json", "job has no request body"},
+		"malformed":          {`{`, 400, "bad_json", ""},
+		"invalid sweep":      {`{"op": "sweep", "request": {"kernel": "matmul", "n": -1, "params": [4]}}`, 422, "invalid_argument", ""},
+		"unknown kernel":     {`{"op": "sweep", "request": {"kernel": "nope", "n": 64, "params": [4]}}`, 422, "unknown_kernel", ""},
+		"unknown experiment": {`{"op": "experiment", "request": {"id": "E99"}}`, 404, "unknown_experiment", ""},
+		"bad computation":    {`{"op": "analyze", "request": {"pe": {"c": 1, "io": 1, "m": 1}, "computation": {"name": "nope"}}}`, 422, "unknown_computation", ""},
+		"nested batch":       {`{"op": "batch", "request": {"requests": [{"op": "batch", "request": {"requests": []}}]}}`, 422, "invalid_argument", "batch item 0: batches do not nest"},
+		"empty batch":        {`{"op": "batch", "request": {"requests": []}}`, 422, "invalid_argument", ""},
+		"bad batch item":     {`{"op": "batch", "request": {"requests": [{"op": "analyze", "request": {"computation": {"name": "zzz"}}}]}}`, 422, "invalid_argument", ""},
+		// The analytic ops are checked by their cores: these three reach
+		// the model and are refused there, as the sync endpoints refuse them.
+		"negative pe.c":  {`{"op": "analyze", "request": {"pe": {"c": -1, "io": 1, "m": 1}, "computation": {"name": "fft"}}}`, 422, "invalid_argument", ""},
+		"alpha below 1":  {`{"op": "rebalance", "request": {"computation": {"name": "matmul"}, "alpha": 0.5, "m_old": 1024}}`, 422, "invalid_argument", ""},
+		"roofline step":  {`{"op": "roofline", "request": {"pe": {"c": 1e6, "io": 1e6, "m": 64}, "computations": [{"name": "grid"}], "mem_lo": 64, "mem_hi": 4096, "step": 1.0000001}}`, 422, "invalid_argument", ""},
+		"bad batch core": {`{"op": "batch", "request": {"requests": [{"op": "analyze", "request": {"pe": {"c": -1, "io": 1, "m": 1}, "computation": {"name": "fft"}}}]}}`, 422, "invalid_argument", ""},
 	} {
 		rr := do(h, http.MethodPost, "/v1/jobs", tc.body)
 		if rr.Code != tc.want {
@@ -212,6 +222,9 @@ func TestJobSubmitValidation(t *testing.T) {
 		var env errorEnvelope
 		if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error.Code != tc.code {
 			t.Errorf("%s: envelope code %q, want %q", name, env.Error.Code, tc.code)
+		}
+		if tc.msg != "" && env.Error.Message != tc.msg {
+			t.Errorf("%s: message %q, want %q", name, env.Error.Message, tc.msg)
 		}
 	}
 	// Nothing invalid was admitted.

@@ -3,7 +3,6 @@ package server
 import (
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,11 +14,8 @@ import (
 // collapse tokens for requests the mux never matched. It is derived from
 // the apiRoutes table (server.go) — the same single source the mux and
 // the GET /v1/ API index are built from — so the three cannot drift.
-// NewMetrics preregisters a histogram per entry so Observe on a known
-// route is a lock-free map probe plus a few atomic adds — no lock, no
-// allocation. The list going stale is harmless (an unlisted route falls
-// back to the copy-on-write slow path, one allocation ever); keeping it
-// in sync keeps the hot path uniform.
+// NewMetrics builds a histogram per entry once, so Observe is a map
+// probe plus a few atomic adds — no lock, no allocation.
 var routePatterns = func() []string {
 	patterns := make([]string, 0, len(apiRoutes)+2)
 	for _, rt := range apiRoutes {
@@ -33,17 +29,16 @@ var routePatterns = func() []string {
 // in-flight gauge. All methods are safe for concurrent use and lock-free on
 // the request path; reads take a snapshot.
 //
-// The route table is copy-on-write: readers load an immutable map of
-// preregistered histograms (one per routePatterns entry) and only the
-// never-in-practice slow path of an unknown route takes the growth lock.
-// Status classes are plain atomics. The global histogram and request
+// The route table is built once (one histogram per routePatterns entry)
+// and never changes: routeLabel can only report a routePatterns entry,
+// and any other key counts as "(unknown_route)". Status classes are plain
+// atomics. The global histogram and request
 // total are the route histograms merged at snapshot time instead of being
 // maintained as separate counters on the hot path.
 type Metrics struct {
 	start time.Time
 
-	slots  atomic.Pointer[map[string]*obs.Hist] // immutable; swapped under slotMu
-	slotMu sync.Mutex                           // guards copy-on-write growth only
+	routes map[string]*obs.Hist // one per routePatterns entry; immutable
 
 	statuses [10]atomic.Int64 // completed requests by status/100, clamped
 
@@ -68,15 +63,13 @@ type tenantSlot struct {
 	overBudget  atomic.Int64
 }
 
-// NewMetrics returns ready-to-use instrumentation with every known route's
-// slot preallocated.
+// NewMetrics returns ready-to-use instrumentation with every route's
+// histogram allocated.
 func NewMetrics() *Metrics {
-	slots := make(map[string]*obs.Hist, len(routePatterns))
+	m := &Metrics{start: time.Now(), routes: make(map[string]*obs.Hist, len(routePatterns))}
 	for _, p := range routePatterns {
-		slots[p] = new(obs.Hist)
+		m.routes[p] = new(obs.Hist)
 	}
-	m := &Metrics{start: time.Now()}
-	m.slots.Store(&slots)
 	return m
 }
 
@@ -111,32 +104,14 @@ func (m *Metrics) TenantOverBudget(name string) {
 	}
 }
 
-// slot returns the route's histogram, creating one (copy-on-write) for a
-// route outside the preregistered set.
-func (m *Metrics) slot(route string) *obs.Hist {
-	if s := (*m.slots.Load())[route]; s != nil {
-		return s
-	}
-	m.slotMu.Lock()
-	defer m.slotMu.Unlock()
-	cur := *m.slots.Load()
-	if s := cur[route]; s != nil {
-		return s
-	}
-	next := make(map[string]*obs.Hist, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	s := new(obs.Hist)
-	next[route] = s
-	m.slots.Store(&next)
-	return s
-}
-
 // Observe records one completed request: its route, response status, and
 // latency.
 func (m *Metrics) Observe(route string, status int, elapsed time.Duration) {
-	m.slot(route).Observe(elapsed)
+	h := m.routes[route]
+	if h == nil {
+		h = m.routes["(unknown_route)"]
+	}
+	h.Observe(elapsed)
 	m.statuses[min(max(status/100, 0), 9)].Add(1)
 }
 
@@ -280,7 +255,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	// Preregistered routes that never saw a request are skipped, so the
 	// maps list exactly the routes that were hit.
-	for route, h := range *m.slots.Load() {
+	for route, h := range m.routes {
 		if hs := h.Snapshot(); hs.Count > 0 {
 			s.routes = append(s.routes, routeHist{route, hs})
 		}

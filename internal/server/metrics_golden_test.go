@@ -51,7 +51,7 @@ func goldenMetricsServer(t *testing.T) http.Handler {
 		{"GET /healthz", 200, 11 * time.Microsecond},
 		{"(unmatched)", 404, 20 * time.Microsecond},
 		{"(unknown_route)", 302, 600 * time.Microsecond},
-		{"GET /not-preregistered", 200, 5 * time.Millisecond}, // copy-on-write slot
+		{"GET /not-preregistered", 200, 5 * time.Millisecond}, // counts as (unknown_route)
 		{"POST /v1/roofline", 500, 333333 * time.Nanosecond},
 		{"POST /v1/roofline", 200, 10 * time.Second},
 		{"POST /v1/roofline", 700, 999999 * time.Microsecond},

@@ -5,7 +5,7 @@ package server
 // before that state exists: a sweep body must land where its memo entry
 // lives, a job submit where GET /v1/jobs/{id} will later look. Both
 // derivations already exist inside this package (the sweep memo key,
-// prepareJob's canonicalization); these wrappers expose them without
+// the job submit's canonicalization); these wrappers expose them without
 // exposing the machinery. They are prediction-only — no cache is
 // touched, nothing is admitted — and they are deliberately lenient:
 // a body this package would reject 4xx returns ok=false and the
@@ -38,52 +38,25 @@ func RouteKeyForSweep(body []byte) (key string, ok bool) {
 }
 
 // RouteIDForJob derives the job id POST /v1/jobs will assign to a
-// submit body: the op-specific DTO is strict-decoded and re-marshaled
-// exactly as prepareJob does, then fed through jobs.IDFor. Semantic
-// validation (unknown computations, batch caps) is skipped on purpose —
-// the id depends only on the canonical bytes, and a body every node
-// would reject routes anywhere. ok is false when the envelope or the
-// op's DTO does not decode.
+// submit body: the op row strict-decodes the request and re-marshals it
+// exactly as handleJobSubmit does, then jobs.IDFor hashes it. The row's
+// check (unknown computations, batch caps) is skipped on purpose: the id
+// depends only on the canonical bytes, and a body every node would
+// reject routes anywhere. ok is false when the envelope or the op's DTO
+// does not decode.
 func RouteIDForJob(body []byte) (id string, ok bool) {
 	var env JobSubmitRequest
-	if apiErr := strictDecodeJSON(bytes.NewReader(body), &env); apiErr != nil {
+	if apiErr := strictDecodeJSON(bytes.NewReader(body), &env); apiErr != nil || len(env.Request) == 0 {
 		return "", false
 	}
-	if len(env.Request) == 0 {
+	o := findOp(opTable, env.Op)
+	if o == nil {
 		return "", false
 	}
-	var canonical []byte
-	switch env.Op {
-	case "analyze":
-		canonical, ok = canonicalJobBody[AnalyzeRequest](env.Request)
-	case "rebalance":
-		canonical, ok = canonicalJobBody[RebalanceRequest](env.Request)
-	case "roofline":
-		canonical, ok = canonicalJobBody[RooflineRequest](env.Request)
-	case "sweep":
-		canonical, ok = canonicalJobBody[SweepRequest](env.Request)
-	case "experiment":
-		canonical, ok = canonicalJobBody[ExperimentRef](env.Request)
-	case "batch":
-		canonical, ok = canonicalJobBody[BatchRequest](env.Request)
-	default:
-		return "", false
-	}
-	if !ok {
-		return "", false
-	}
-	id, _ = jobs.IDFor(env.Op, canonical)
-	return id, true
-}
-
-// canonicalJobBody decodes one op's raw body into its DTO and returns
-// the canonical re-marshaled bytes — the same strict decode +
-// mustCanonical pair prepareJob runs, so the predicted bytes are the
-// admitted bytes.
-func canonicalJobBody[T any](raw []byte) ([]byte, bool) {
-	req, apiErr := decodeJobDTO[T](raw)
+	req, apiErr := o.decode(env.Request)
 	if apiErr != nil {
-		return nil, false
+		return "", false
 	}
-	return mustCanonical(req), true
+	id, _ = jobs.IDFor(env.Op, mustMarshal(req))
+	return id, true
 }

@@ -330,14 +330,17 @@ func TestBatch(t *testing.T) {
 	  {"op": "sweep", "request": {"kernel": "fft", "n": 4096, "params": [4, 16]}},
 	  {"op": "transmogrify", "request": {}},
 	  {"op": "analyze", "request": {"pe": {"c": -1, "io": 1, "m": 1}, "computation": {"name": "fft"}}},
-	  {"op": "experiment", "request": {"id": "E7"}}
+	  {"op": "experiment", "request": {"id": "E7"}},
+	  {"request": {}},
+	  {"op": "analyze"},
+	  {"op": "batch", "request": {"requests": []}}
 	]}`
 	decoded := wantStatus(t, h, "POST", "/v1/batch", body, 200, "")
 	results := decoded["results"].([]any)
-	if len(results) != 6 {
-		t.Fatalf("got %d results, want 6", len(results))
+	if len(results) != 9 {
+		t.Fatalf("got %d results, want 9", len(results))
 	}
-	wantStatuses := []float64{200, 200, 200, 400, 422, 200}
+	wantStatuses := []float64{200, 200, 200, 400, 422, 200, 400, 400, 400}
 	for i, want := range wantStatuses {
 		r := results[i].(map[string]any)
 		if r["status"].(float64) != want {
@@ -352,9 +355,18 @@ func TestBatch(t *testing.T) {
 		batched["state"] != standalone["state"] {
 		t.Errorf("batched analyze %v != standalone %v", batched, standalone)
 	}
-	// The failed items carry the envelope body.
-	if code := results[3].(map[string]any)["error"].(map[string]any)["code"]; code != "unknown_op" {
-		t.Errorf("result[3] code = %v, want unknown_op", code)
+	// The refused items carry the envelope body: unknown op, missing op,
+	// empty body, nested batch.
+	for i, want := range map[int][2]string{
+		3: {"unknown_op", `unknown batch op "transmogrify" (one of analyze, rebalance, roofline, sweep, experiment)`},
+		6: {"invalid_argument", "batch item is missing op"},
+		7: {"bad_json", "batch item has no request body"},
+		8: {"unknown_op", `unknown batch op "batch" (one of analyze, rebalance, roofline, sweep, experiment)`},
+	} {
+		env := results[i].(map[string]any)["error"].(map[string]any)
+		if env["code"] != want[0] || env["message"] != want[1] {
+			t.Errorf("result[%d] error = %v, want %q %q", i, env, want[0], want[1])
+		}
 	}
 	// The batched experiment reports its verdict.
 	exp := results[5].(map[string]any)["body"].(map[string]any)

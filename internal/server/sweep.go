@@ -40,10 +40,14 @@ const (
 )
 
 // sweepKernel is one row of the sweep registry: how to validate a request
-// for this kernel and how to run it.
+// for this kernel, what a job running it holds in memory, and how to run
+// it.
 type sweepKernel struct {
 	validate func(*SweepRequest) *apiError
-	run      func(ctx context.Context, req *SweepRequest) ([]kernels.RatioPoint, error)
+	// cost is a validated request's working set in bytes, the sweep job's
+	// admission footprint beyond jobBaseCost (DESIGN.md §6).
+	cost func(*SweepRequest) int64
+	run  func(ctx context.Context, req *SweepRequest) ([]kernels.RatioPoint, error)
 }
 
 // sweepKernels maps SweepRequest.Kernel to its implementation. Every entry
@@ -52,36 +56,42 @@ type sweepKernel struct {
 var sweepKernels = map[string]sweepKernel{
 	"matmul": {
 		validate: needBlockedN,
+		cost:     nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.MatMulRatioSweep(ctx, r.N, r.Params)
 		},
 	},
 	"lu": {
 		validate: needBlockedN,
+		cost:     nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.LURatioSweep(ctx, r.N, r.Params)
 		},
 	},
 	"fft": {
 		validate: needN,
+		cost:     nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.FFTRatioSweep(ctx, r.N, r.Params)
 		},
 	},
 	"strassen": {
 		validate: needN,
+		cost:     nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.StrassenRatioSweep(ctx, r.N, r.Params)
 		},
 	},
 	"matvec": {
 		validate: needN,
+		cost:     nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.MatVecRatioSweep(ctx, r.N, r.Params)
 		},
 	},
 	"trisolve": {
 		validate: needBlockedN,
+		cost:     nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.TriSolveRatioSweep(ctx, r.N, r.Params)
 		},
@@ -99,6 +109,7 @@ var sweepKernels = map[string]sweepKernel{
 			}
 			return nil
 		},
+		cost: nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.ConvolveRatioSweep(ctx, r.N, r.Params)
 		},
@@ -114,6 +125,7 @@ var sweepKernels = map[string]sweepKernel{
 			}
 			return nil
 		},
+		cost: nWords,
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.SpMVRatioSweep(ctx, r.N, r.NNZPerRow, r.Params)
 		},
@@ -138,6 +150,14 @@ var sweepKernels = map[string]sweepKernel{
 			}
 			return nil
 		},
+		// m² eight-byte keys sorted per point.
+		cost: func(r *SweepRequest) int64 {
+			var keys int64
+			for _, m := range r.Params {
+				keys += int64(m) * int64(m)
+			}
+			return keys * wordBytes
+		},
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.SortRatioSweep(ctx, r.Params, r.Seed)
 		},
@@ -147,7 +167,10 @@ var sweepKernels = map[string]sweepKernel{
 		// params sweep a chosen level's capacity or boundary bandwidth
 		// through the hierarchy balance model instead of an instrumented
 		// kernel. No N cap applies — each point is O(depth) arithmetic.
+		// Priced like the counting kernels, by n, which the analytic
+		// sweep accepts and ignores.
 		validate: validateHierarchySweep,
+		cost:     nWords,
 		run:      runHierarchySweep,
 	},
 	"grid": {
@@ -179,11 +202,22 @@ var sweepKernels = map[string]sweepKernel{
 			}
 			return nil
 		},
+		// size^dim eight-byte cells relaxed.
+		cost: func(r *SweepRequest) int64 {
+			cells := int64(1)
+			for d := 0; d < r.Dim; d++ {
+				cells *= int64(r.Size)
+			}
+			return cells * wordBytes
+		},
 		run: func(ctx context.Context, r *SweepRequest) ([]kernels.RatioPoint, error) {
 			return kernels.GridRatioSweep(ctx, r.Dim, r.Size, r.Iters, r.Params)
 		},
 	},
 }
+
+// nWords prices the counting kernels: they touch O(n) words.
+func nWords(r *SweepRequest) int64 { return int64(r.N) * wordBytes }
 
 // needN is the common validation for kernels parameterized by one problem
 // size.
